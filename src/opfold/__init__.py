@@ -40,7 +40,7 @@ from .density import (
     telescoping_sum,
     tree_gain,
 )
-from .hdlgen import HdlConfig, default_extension, emit
+from .hdlgen import HdlConfig, emit
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,6 @@ __all__ = [
     "DensityState", "SplitOutcome", "TreeReport", "logistic_step",
     "telescoping_sum", "split_gain", "tree_gain", "simulate_split",
     "simulate_tree",
-    "HdlConfig", "emit", "default_extension",
+    "HdlConfig", "emit",
     "__version__",
 ]

@@ -1,227 +1,28 @@
-"""Pure-Python arithmetic kernel over 32-bit limb tuples.
+"""Instrumented shift-and-add multiply kernels over non-negative host ints.
 
-Values are tuples of ints in [0, 2**32), little-endian, canonical form:
-no trailing zero limbs, zero is the empty tuple. The compiled kernel in
-_corefast exposes the same functions; _kernel picks one lane at import.
-
-Host integers appear only in from_int/to_int and single-limb carries, so
-tests that compare against native big-integer arithmetic exercise a real
-second route.
+Each kernel walks its multiplier bit by bit and builds the product from
+additions of shifted copies of the multiplicand, counting every addition
+and shift as it goes. The product never comes from native `*`, so tests
+that check it against `a * b` still compare two independent routes.
 """
 
 KERNEL_NAME = "pure"
 
-_SHIFT = 32
-_MASK = 0xFFFFFFFF
-
-
-def from_int(x):
-    # boundary helper: host int -> limbs
-    if x < 0:
-        raise ValueError("negative value")
-    limbs = []
-    while x:
-        limbs.append(x & _MASK)
-        x >>= _SHIFT
-    return tuple(limbs)
-
-
-def to_int(a):
-    # boundary helper: limbs -> host int
-    x = 0
-    for limb in reversed(a):
-        x = (x << _SHIFT) | limb
-    return x
-
-
-def is_canonical(a):
-    if a and a[-1] == 0:
-        return False
-    return all(0 <= limb <= _MASK for limb in a)
-
-
-def bit_length(a):
-    if not a:
-        return 0
-    return _SHIFT * (len(a) - 1) + a[-1].bit_length()
-
-
-def popcount(a):
-    return sum(limb.bit_count() for limb in a)
-
-
-def bit(a, i):
-    # bit(a, i) = 0 for i >= bit_length(a)
-    w = i // _SHIFT
-    if w >= len(a):
-        return 0
-    return (a[w] >> (i % _SHIFT)) & 1
-
-
-def cmp(a, b):
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            return -1 if a[i] < b[i] else 1
-    return 0
-
-
-def _trim(limbs):
-    while limbs and limbs[-1] == 0:
-        limbs.pop()
-    return tuple(limbs)
-
-
-def add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = []
-    carry = 0
-    for i in range(len(b)):
-        s = a[i] + b[i] + carry
-        out.append(s & _MASK)
-        carry = s >> _SHIFT
-    for i in range(len(b), len(a)):
-        s = a[i] + carry
-        out.append(s & _MASK)
-        carry = s >> _SHIFT
-    if carry:
-        out.append(carry)
-    return tuple(out)
-
-
-def sub(a, b):
-    # a >= b
-    out = []
-    borrow = 0
-    for i in range(len(a)):
-        d = a[i] - borrow - (b[i] if i < len(b) else 0)
-        if d < 0:
-            d += 1 << _SHIFT
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(d)
-    if borrow:
-        raise ValueError("underflow")
-    return _trim(out)
-
-
-def shl(a, s):
-    if not a or s == 0:
-        return a
-    words, rem = divmod(s, _SHIFT)
-    out = [0] * words
-    if rem == 0:
-        out.extend(a)
-        return tuple(out)
-    carry = 0
-    for limb in a:
-        out.append(((limb << rem) | carry) & _MASK)
-        carry = limb >> (_SHIFT - rem)
-    if carry:
-        out.append(carry)
-    return tuple(out)
-
-
-def extract(a, start, count):
-    # bits [start, start + count) as a value
-    if count <= 0:
-        return ()
-    out = []
-    words, rem = divmod(start, _SHIFT)
-    nlimbs = (count + _SHIFT - 1) // _SHIFT
-    for i in range(nlimbs):
-        w = words + i
-        lo = a[w] >> rem if w < len(a) else 0
-        if rem and w + 1 < len(a):
-            lo |= (a[w + 1] << (_SHIFT - rem)) & _MASK
-        out.append(lo)
-    tail = count % _SHIFT
-    if tail:
-        out[-1] &= (1 << tail) - 1
-    return _trim(out)
-
-
-def band(a, b):
-    out = [a[i] & b[i] for i in range(min(len(a), len(b)))]
-    return _trim(out)
-
-
-def bor(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i in range(len(b)):
-        out[i] |= b[i]
-    return tuple(out)
-
-
-def bxor(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i in range(len(b)):
-        out[i] ^= b[i]
-    return _trim(out)
-
-
-def _add_into(dst, src):
-    # dst += src; dst is a fixed-size list long enough for the result
-    carry = 0
-    for i in range(len(src)):
-        s = dst[i] + src[i] + carry
-        dst[i] = s & _MASK
-        carry = s >> _SHIFT
-    i = len(src)
-    while carry:
-        s = dst[i] + carry
-        dst[i] = s & _MASK
-        carry = s >> _SHIFT
-        i += 1
-
-
-def _shl1_inplace(buf):
-    carry = 0
-    for i in range(len(buf)):
-        v = (buf[i] << 1) | carry
-        buf[i] = v & _MASK
-        carry = v >> _SHIFT
-    if carry:
-        buf.append(carry)
-
-
-def _buf_bits(buf):
-    for i in range(len(buf) - 1, -1, -1):
-        if buf[i]:
-            return _SHIFT * i + buf[i].bit_length()
-    return 0
-
 
 def classical_multiply(a, b):
-    """Shift-and-add product of two limb values; returns (limbs, add count).
+    """Shift-and-add product of two ints; returns (product, add count).
 
     One addition per set bit of b; the running addend is shifted left one
     position per multiplier bit.
     """
-    bl = bit_length(b)
-    if bl == 0:
-        return (), 0
-    if not a:
-        # zero multiplicand still costs one addition per set multiplier bit
-        return (), popcount(b)
-    size = (bit_length(a) + bl + _SHIFT - 1) // _SHIFT + 1
-    acc = [0] * size
-    addend = list(a) + [0] * (size - len(a))
+    acc = 0
     adds = 0
-    for i in range(bl):
-        if bit(b, i):
-            _add_into(acc, addend)
+    for bit in reversed(format(b, "b")):
+        if bit == "1":
+            acc += a
             adds += 1
-        _shl1_inplace(addend)
-        del addend[size:]
-    return _trim(acc), adds
+        a <<= 1
+    return acc, adds
 
 
 def fold_multiply(a, b, m, k):
@@ -231,50 +32,33 @@ def fold_multiply(a, b, m, k):
     peak_cell_bits). Caller validates 1 <= k and operand widths <= m.
     """
     n = (m + k - 1) // k
-    cell_limbs = (m + n + _SHIFT - 1) // _SHIFT + 1
-    ncells = 1 << k
-    cells = [[0] * cell_limbs for _ in range(ncells)]
-    ax = list(a) + [0] * (cell_limbs - len(a))
+    mask = (1 << n) - 1
+    # rows of the k x n part array, part k on top and column n-1 leftmost,
+    # so each column read downwards is its cell index in binary
+    rows = [format((b >> (j * n)) & mask, f"0{n}b")
+            for j in range(k - 1, -1, -1)]
+    patterns = [int("".join(column), 2) for column in zip(*rows)]
+    cells = [0] * (1 << k)
     acc_adds = 0
     shifts = 0
-    for i in range(n):
-        col = 0
-        for j in range(k):
-            if bit(b, j * n + i):
-                col |= 1 << j
+    for col in reversed(patterns):
         if col:
-            _add_into(cells[col], ax)
+            cells[col] += a
             acc_adds += 1
-        _shl1_inplace(ax)
-        del ax[cell_limbs:]
+        a <<= 1
         shifts += 1
     comb_adds = 0
     for i in range(k, 0, -1):
         base = 1 << (i - 1)
         for j in range(1, base):
-            _add_into(cells[base], cells[base + j])
-            _add_into(cells[j], cells[base + j])
+            cells[base] += cells[base + j]
+            cells[j] += cells[base + j]
             comb_adds += 2
-    peak = 0
-    for v in range(1, ncells):
-        w = _buf_bits(cells[v])
-        if w > peak:
-            peak = w
-    prod_limbs = (2 * m + _SHIFT - 1) // _SHIFT + 1
-    p = cells[1 << (k - 1)] + [0] * (prod_limbs - cell_limbs)
+    peak = max(c.bit_length() for c in cells)
+    p = cells[1 << (k - 1)]
     horner_adds = 0
     for i in range(k - 1, 0, -1):
-        carry = 0
-        words, rem = divmod(n, _SHIFT)
-        if rem == 0:
-            p = [0] * words + p[: prod_limbs - words]
-        else:
-            out = [0] * words
-            for limb in p[: prod_limbs - words]:
-                out.append(((limb << rem) | carry) & _MASK)
-                carry = limb >> (_SHIFT - rem)
-            p = out[:prod_limbs]
+        p = (p << n) + cells[1 << (i - 1)]
         shifts += 1
-        _add_into(p, cells[1 << (i - 1)][:cell_limbs])
         horner_adds += 1
-    return _trim(p), acc_adds, comb_adds, horner_adds, shifts, peak
+    return p, acc_adds, comb_adds, horner_adds, shifts, peak

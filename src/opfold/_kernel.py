@@ -1,39 +1,10 @@
-"""Kernel lane selection.
+"""The multiply kernel layer.
 
-The compiled extension is preferred when it imported cleanly; set
-OPFOLD_PURE=1 to force the pure-Python lane. Both lanes expose the same
-functions over 32-bit limb tuples.
+A plain re-export of the int kernels in _corepy. folding.multiply and
+baselines.classical_multiply call through this module, so the kernel stays
+one layer that can be timed, traced or replaced on its own.
 """
 
-import os
+from ._corepy import KERNEL_NAME, classical_multiply, fold_multiply
 
-from . import _corepy
-
-if os.environ.get("OPFOLD_PURE"):
-    _impl = _corepy
-else:
-    try:
-        from . import _corefast as _impl
-    except ImportError:
-        _impl = _corepy
-
-KERNEL_NAME = _impl.KERNEL_NAME
-
-# conversion boundary is always the pure helpers
-from_int = _corepy.from_int
-to_int = _corepy.to_int
-
-is_canonical = _impl.is_canonical
-bit_length = _impl.bit_length
-popcount = _impl.popcount
-bit = _impl.bit
-cmp = _impl.cmp
-add = _impl.add
-sub = _impl.sub
-shl = _impl.shl
-extract = _impl.extract
-band = _impl.band
-bor = _impl.bor
-bxor = _impl.bxor
-classical_multiply = _impl.classical_multiply
-fold_multiply = _impl.fold_multiply
+__all__ = ["KERNEL_NAME", "classical_multiply", "fold_multiply"]

@@ -47,8 +47,8 @@ class SignedDigitString:
 
 def classical_multiply(A, B):
     """Accumulate-and-add product; count = weight(B) exactly."""
-    limbs, count = _k.classical_multiply(A.limbs, B.limbs)
-    return BitNum._wrap(limbs), count
+    product, count = _k.classical_multiply(A.to_int(), B.to_int())
+    return BitNum._wrap(product), count
 
 
 def csd_recode(B):

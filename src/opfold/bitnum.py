@@ -1,14 +1,12 @@
 """Value-semantic arbitrary-precision unsigned integers with bit addressing.
 
-BitNum stores 32-bit limb tuples in canonical form (no trailing zero limbs,
-zero keeps no limbs) and routes arithmetic through the selected kernel lane.
-Host integers appear only at the parse/format boundary, so oracle tests
-against native big integers compare two genuinely independent routes.
+A BitNum holds one non-negative host int. Bitwise and additive operators
+map straight onto int operators; the multiply kernels in _corepy build
+products from shifted additions only, so the oracle tests that check them
+against native `*` still compare two independent routes.
 """
 
 import numpy as np
-
-from . import _kernel as _k
 
 
 class UnderflowError(ArithmeticError):
@@ -18,22 +16,22 @@ class UnderflowError(ArithmeticError):
 class BitNum:
     """Immutable unsigned integer; bit 0 is the least significant bit."""
 
-    __slots__ = ("_limbs",)
+    __slots__ = ("_value",)
 
     def __init__(self, value=0):
         if isinstance(value, BitNum):
-            self._limbs = value._limbs
+            self._value = value._value
         elif isinstance(value, int):
             if value < 0:
                 raise ValueError("BitNum is unsigned")
-            self._limbs = _k.from_int(value)
+            self._value = int(value)
         else:
             raise TypeError(f"cannot build BitNum from {type(value).__name__}")
 
     @classmethod
-    def _wrap(cls, limbs):
+    def _wrap(cls, value):
         out = object.__new__(cls)
-        out._limbs = limbs
+        out._value = value
         return out
 
     @classmethod
@@ -51,100 +49,98 @@ class BitNum:
             value = int(s, 10)
         return cls(value)
 
-    @property
-    def limbs(self):
-        """Internal little-endian 32-bit word tuple (canonical form)."""
-        return self._limbs
-
     def to_int(self):
-        return _k.to_int(self._limbs)
+        return self._value
 
     def to_bin(self):
-        v = _k.to_int(self._limbs)
-        return "0b" + format(v, "b")
+        return "0b" + format(self._value, "b")
 
     def to_hex(self):
-        v = _k.to_int(self._limbs)
-        return "0x" + format(v, "x")
+        return "0x" + format(self._value, "x")
 
     def to_dec(self):
-        return str(_k.to_int(self._limbs))
+        return str(self._value)
 
     def bit(self, i):
         """Bit i as 0 or 1; defined (and 0) for i >= bit_length."""
         if i < 0:
             raise IndexError("negative bit index")
-        return _k.bit(self._limbs, i)
+        return (self._value >> i) & 1
 
     def bit_length(self):
-        return _k.bit_length(self._limbs)
+        return self._value.bit_length()
 
     def weight(self):
-        return _k.popcount(self._limbs)
-
-    def is_canonical(self):
-        return _k.is_canonical(self._limbs)
+        return self._value.bit_count()
 
     def is_zero(self):
-        return not self._limbs
+        return not self._value
 
     def __add__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        return BitNum._wrap(_k.add(self._limbs, other._limbs))
+        return BitNum._wrap(self._value + other._value)
 
     def __sub__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        if _k.cmp(self._limbs, other._limbs) < 0:
+        if self._value < other._value:
             raise UnderflowError("subtraction would be negative")
-        return BitNum._wrap(_k.sub(self._limbs, other._limbs))
+        return BitNum._wrap(self._value - other._value)
 
     def __lshift__(self, s):
         if s < 0:
             raise ValueError("negative shift")
-        return BitNum._wrap(_k.shl(self._limbs, s))
+        return BitNum._wrap(self._value << s)
 
     def __and__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        return BitNum._wrap(_k.band(self._limbs, other._limbs))
+        return BitNum._wrap(self._value & other._value)
 
     def __or__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        return BitNum._wrap(_k.bor(self._limbs, other._limbs))
+        return BitNum._wrap(self._value | other._value)
 
     def __xor__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        return BitNum._wrap(_k.bxor(self._limbs, other._limbs))
+        return BitNum._wrap(self._value ^ other._value)
 
     def __eq__(self, other):
         if not isinstance(other, BitNum):
             return NotImplemented
-        return self._limbs == other._limbs
+        return self._value == other._value
 
     def __lt__(self, other):
-        return _k.cmp(self._limbs, other._limbs) < 0
+        if not isinstance(other, BitNum):
+            return NotImplemented
+        return self._value < other._value
 
     def __le__(self, other):
-        return _k.cmp(self._limbs, other._limbs) <= 0
+        if not isinstance(other, BitNum):
+            return NotImplemented
+        return self._value <= other._value
 
     def __gt__(self, other):
-        return _k.cmp(self._limbs, other._limbs) > 0
+        if not isinstance(other, BitNum):
+            return NotImplemented
+        return self._value > other._value
 
     def __ge__(self, other):
-        return _k.cmp(self._limbs, other._limbs) >= 0
+        if not isinstance(other, BitNum):
+            return NotImplemented
+        return self._value >= other._value
 
     def __hash__(self):
-        return hash(self._limbs)
+        return hash(self._value)
 
     def __bool__(self):
-        return bool(self._limbs)
+        return bool(self._value)
 
     def __int__(self):
-        return self.to_int()
+        return self._value
 
     def __repr__(self):
         return f"BitNum({self.to_bin()})"

@@ -17,7 +17,12 @@ from .bitnum import BitNum, UnderflowError
 
 
 def _default_seed():
-    return int(os.environ.get("OPFOLD_SEED", "0"))
+    text = os.environ.get("OPFOLD_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"OPFOLD_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_range(text):
@@ -222,7 +227,6 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--entity", default="Mult_Entity")
-    p.add_argument("--dialect", choices=("vhdl",), default="vhdl")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hdl)
 
@@ -230,9 +234,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, UnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel as _k
 from .bitnum import BitNum
-from .folding import characteristic_vectors, split
 
 MODES = ("nodes-only", "full-recursive")
 
@@ -104,6 +102,19 @@ def full_gain(delta0, b, j):
     return 2.0 * tree_gain(delta0, b, j)
 
 
+def _halve(v, half):
+    """Halve-AND-XOR of an int block: (hi ^ shared, lo ^ shared, shared).
+
+    shared = hi & lo holds the columns where both halves are 1, so the three
+    results are the k=2 characteristic vectors of the halves (patterns 2, 1
+    and 3).
+    """
+    lo = v & ((1 << half) - 1)
+    hi = v >> half
+    shared = hi & lo
+    return hi ^ shared, lo ^ shared, shared
+
+
 def simulate_split(parent, b):
     """Split a b-bit block in half and return the three children.
 
@@ -115,15 +126,15 @@ def simulate_split(parent, b):
     if parent.bit_length() > b:
         raise ValueError(
             f"block has {parent.bit_length()} bits, exceeds b = {b}")
-    vecs = characteristic_vectors(split(parent, b, 2))
     half = b // 2
+    b10, b01, b11 = _halve(parent.to_int(), half)
     return SplitOutcome(
-        b10=vecs[2],
-        b01=vecs[1],
-        b11=vecs[3],
-        density10=vecs[2].weight() / half,
-        density01=vecs[1].weight() / half,
-        density11=vecs[3].weight() / half,
+        b10=BitNum._wrap(b10),
+        b01=BitNum._wrap(b01),
+        b11=BitNum._wrap(b11),
+        density10=b10.bit_count() / half,
+        density01=b01.bit_count() / half,
+        density11=b11.bit_count() / half,
     )
 
 
@@ -177,7 +188,7 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
         raise ValueError(f"input has {B.bit_length()} bits, exceeds b = {b}")
     factor = 1 if mode == "nodes-only" else 2
     w0 = B.weight()
-    frontier = [B.limbs]
+    frontier = [B.to_int()]
     size = b
     cumulative = 0
     levels = [LevelStats(
@@ -194,13 +205,9 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
         frontier_weight = 0
         children = []
         for v in frontier:
-            lo = _k.extract(v, 0, half)
-            hi = _k.extract(v, half, half)
-            shared = _k.band(hi, lo)
-            harvested += _k.popcount(shared)
-            c_hi = _k.bxor(hi, shared)
-            c_lo = _k.bxor(lo, shared)
-            frontier_weight += _k.popcount(c_hi) + _k.popcount(c_lo)
+            c_hi, c_lo, shared = _halve(v, half)
+            harvested += shared.bit_count()
+            frontier_weight += c_hi.bit_count() + c_lo.bit_count()
             children.append(c_hi)
             children.append(c_lo)
         cumulative += factor * harvested
@@ -235,14 +242,10 @@ def exact_weight_block(b, w, rng):
     """Random b-bit block with exactly w set bits (variance reduction)."""
     if not 0 <= w <= b:
         raise ValueError(f"weight {w} outside 0..{b}")
-    positions = rng.choice(b, size=w, replace=False)
-    limbs = [0] * ((b + 31) // 32)
-    for pos in positions:
-        p = int(pos)
-        limbs[p // 32] |= 1 << (p % 32)
-    while limbs and limbs[-1] == 0:
-        limbs.pop()
-    return BitNum._wrap(tuple(limbs))
+    value = 0
+    for pos in rng.choice(b, size=w, replace=False):
+        value |= 1 << int(pos)
+    return BitNum._wrap(value)
 
 
 def _sample_block(b, delta, rng, exact_weight):

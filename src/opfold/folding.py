@@ -99,8 +99,9 @@ def split(B, m, k):
         raise ValueError(
             f"operand has {B.bit_length()} bits, exceeds m = {m}")
     n = (m + k - 1) // k
-    parts = tuple(
-        BitNum._wrap(_k.extract(B.limbs, j * n, n)) for j in range(k))
+    mask = (1 << n) - 1
+    v = B.to_int()
+    parts = tuple(BitNum._wrap((v >> (j * n)) & mask) for j in range(k))
     return Decomposition(m=m, k=k, n=n, parts=parts)
 
 
@@ -119,19 +120,11 @@ def characteristic_vectors(d, include_zero=False):
     binary pattern v. Inspection/testing aid only: the multiply path never
     materializes these.
     """
-    npatterns = 1 << d.k
-    limb_rows = [[0] * ((d.n + 31) // 32) for _ in range(npatterns)]
+    rows = [0] * (1 << d.k)
     for i in range(d.n):
-        col = _column_pattern(d.parts, i)
-        limb_rows[col][i // 32] |= 1 << (i % 32)
-    out = {}
+        rows[_column_pattern(d.parts, i)] |= 1 << i
     start = 0 if include_zero else 1
-    for v in range(start, npatterns):
-        row = limb_rows[v]
-        while row and row[-1] == 0:
-            row.pop()
-        out[v] = BitNum._wrap(tuple(row))
-    return out
+    return {v: BitNum._wrap(rows[v]) for v in range(start, 1 << d.k)}
 
 
 def accumulate(A, d):
@@ -200,8 +193,8 @@ def multiply(A, B, m, k):
     accumulate-and-add and the ledger is (weight(B), 0, 0).
     """
     _validate_multiply(A, B, m, k)
-    limbs, acc, comb, horn, shifts, peak = _k.fold_multiply(
-        A.limbs, B.limbs, m, k)
+    product, acc, comb, horn, shifts, peak = _k.fold_multiply(
+        A.to_int(), B.to_int(), m, k)
     ledger = CostLedger(
         accumulate_adds=acc,
         combine_adds=comb,
@@ -209,7 +202,7 @@ def multiply(A, B, m, k):
         shifts=shifts,
         peak_cell_bits=peak,
     )
-    return BitNum._wrap(limbs), ledger
+    return BitNum._wrap(product), ledger
 
 
 @dataclass(frozen=True)

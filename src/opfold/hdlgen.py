@@ -56,13 +56,6 @@ class HdlConfig:
                 f"invalid HDL identifier: {self.entity_name!r}")
 
 
-def default_extension(dialect="vhdl"):
-    """File extension for the (single) supported dialect."""
-    if dialect != "vhdl":
-        raise ValueError(f"unsupported dialect: {dialect!r}")
-    return ".vhd"
-
-
 def emit(config):
     """Render the multiplier entity as VHDL source text."""
     m, k, entity = config.m, config.k, config.entity_name
@@ -168,8 +161,3 @@ def emit(config):
     push("")
     push("END Behavioral;")
     return "\n".join(lines) + "\n"
-
-
-def emit_to(config, stream):
-    """Write the emitted text to a file-like stream."""
-    stream.write(emit(config))

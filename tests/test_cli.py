@@ -202,6 +202,13 @@ def test_out_path_io_failure_exits_3(tmp_path, capsys):
 
 # --- seeding ---------------------------------------------------------------------
 
+def test_env_seed_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("OPFOLD_SEED", "abc")
+    rc, out, err = run(capsys, ["table"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "OPFOLD_SEED" in err
+
+
 def test_env_seed_default(monkeypatch, capsys):
     argv = ["bench", "--m-range", "64", "--k-range", "2", "--trials", "20"]
     monkeypatch.setenv("OPFOLD_SEED", "9")

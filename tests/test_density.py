@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfold.bitnum import BitNum
+from opfold.bitnum import BitNum, random_bitnum
 from opfold.density import (
     MODES,
     SERIES_COLUMNS,
@@ -21,6 +21,7 @@ from opfold.density import (
     telescoping_sum,
     tree_gain,
 )
+from opfold.folding import characteristic_vectors, split
 
 TOY = BitNum(0b101010100011)
 
@@ -102,6 +103,15 @@ def test_simulate_split_toy():
     assert out.b01 == BitNum(0b000001)
     assert out.b11 == BitNum(0b100010)
     assert out.density11 == 2 / 6
+
+
+@pytest.mark.parametrize("b,seed", [(12, None), (2, 1), (8, 2), (64, 3),
+                                    (256, 4), (1030, 5)])
+def test_split_children_are_k2_characteristic_vectors(b, seed):
+    parent = TOY if seed is None else random_bitnum(b, seed)
+    vecs = characteristic_vectors(split(parent, b, 2))
+    out = simulate_split(parent, b)
+    assert (out.b10, out.b01, out.b11) == (vecs[2], vecs[1], vecs[3])
 
 
 def test_simulate_split_zero_parent():

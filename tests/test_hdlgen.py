@@ -1,11 +1,10 @@
 """VHDL emitter: parameter validation, width literals, stability."""
 
-import io
 from pathlib import Path
 
 import pytest
 
-from opfold.hdlgen import HdlConfig, default_extension, emit, emit_to
+from opfold.hdlgen import HdlConfig, emit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,13 +31,6 @@ def test_entity_name_validation():
     for bad in ("", "1abc", "a__b", "a_", "a-b", "entity name"):
         with pytest.raises(ValueError):
             HdlConfig(m=8, k=2, entity_name=bad)
-
-
-def test_default_extension():
-    assert default_extension() == ".vhd"
-    assert default_extension("vhdl") == ".vhd"
-    with pytest.raises(ValueError):
-        default_extension("verilog")
 
 
 def test_emit_32_2_widths():
@@ -93,13 +85,6 @@ def test_k1_ranges_are_null_not_negative():
 def test_emit_deterministic():
     cfg = HdlConfig(m=96, k=4)
     assert emit(cfg) == emit(cfg)
-
-
-def test_emit_to_stream():
-    cfg = HdlConfig(m=8, k=2)
-    buf = io.StringIO()
-    emit_to(cfg, buf)
-    assert buf.getvalue() == emit(cfg)
 
 
 @pytest.mark.parametrize("m,k", [(32, 2), (1024, 5)])
