@@ -1,10 +1,20 @@
 """Instrumented shift-and-add multiply kernels over non-negative host ints.
 
-Each kernel walks its multiplier bit by bit and builds the product from
-additions of shifted copies of the multiplicand, counting every addition
-and shift as it goes. The product never comes from native `*`, so tests
-that check it against `a * b` still compare two independent routes.
+Each kernel walks its multiplier and builds the product from additions of
+shifted copies of the multiplicand, counting every addition and shift.
+The product never comes from native `*`, so tests that check it against
+`a * b` still compare two independent routes.
+
+fold_multiply uses numpy for one thing only: reading the multiplier's bits
+into the column indices of the k x n part array in one call. numpy never
+sees the multiplicand and never forms a product or a cell: every counted
+addition is one int `+`, of a shifted multiplicand into a cell
+(accumulate) or of two cells (combine, Horner).
 """
+
+import operator
+
+import numpy as np
 
 KERNEL_NAME = "pure"
 
@@ -32,29 +42,29 @@ def fold_multiply(a, b, m, k):
     peak_cell_bits). Caller validates 1 <= k and operand widths <= m.
     """
     n = (m + k - 1) // k
-    mask = (1 << n) - 1
-    # rows of the k x n part array, part k on top and column n-1 leftmost,
-    # so each column read downwards is its cell index in binary
-    rows = [format((b >> (j * n)) & mask, f"0{n}b")
-            for j in range(k - 1, -1, -1)]
-    patterns = [int("".join(column), 2) for column in zip(*rows)]
+    # the k x n part array, row j = part j+1 and column 0 = bit 0, so column
+    # i's cell index has bit j set iff part j+1 has a 1 at position i
+    bits = np.unpackbits(
+        np.frombuffer(b.to_bytes((k * n + 7) // 8, "little"), np.uint8),
+        count=k * n, bitorder="little").reshape(k, n)
+    patterns = ((1 << np.arange(k)) @ bits).tolist()
     cells = [0] * (1 << k)
-    acc_adds = 0
-    shifts = 0
-    for col in reversed(patterns):
+    for col in patterns:
         if col:
             cells[col] += a
-            acc_adds += 1
         a <<= 1
-        shifts += 1
+    acc_adds = n - patterns.count(0)
+    shifts = n
     comb_adds = 0
     for i in range(k, 0, -1):
         base = 1 << (i - 1)
-        for j in range(1, base):
-            cells[base] += cells[base + j]
-            cells[j] += cells[base + j]
-            comb_adds += 2
-    peak = max(c.bit_length() for c in cells)
+        upper = cells[base + 1:2 * base]
+        # cells[base] += cells[base + j] and cells[j] += cells[base + j]
+        # for j = 1 .. base - 1, as whole-slice operations
+        cells[base] = sum(upper, cells[base])
+        cells[1:base] = map(operator.add, cells[1:base], upper)
+        comb_adds += 2 * (base - 1)
+    peak = max(cells).bit_length()  # every cell is non-negative
     p = cells[1 << (k - 1)]
     horner_adds = 0
     for i in range(k - 1, 0, -1):

@@ -170,17 +170,32 @@ def weight(x):
     return x.weight()
 
 
+def random_bitnums(m, rng_seed, count):
+    """`count` uniform values over m independent bits, from one draw.
+
+    Equal to `count` successive random_bitnum(m, rng) calls on the same
+    generator, and leaves it in the same state: Generator.bytes(nb) draws
+    ceil(nb/4) uint32 words and keeps the first nb of their little-endian
+    bytes, so value i is cut from the i-th run of ceil(nb/4) words.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m == 0:
+        return (ZERO,) * count
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
+        else np.random.default_rng(rng_seed)
+    nbytes = (m + 7) // 8
+    stride = 4 * ((nbytes + 3) // 4)
+    data = rng.bytes(count * stride)
+    mask = (1 << m) - 1
+    return tuple(
+        BitNum._wrap(int.from_bytes(data[i:i + nbytes], "little") & mask)
+        for i in range(0, count * stride, stride))
+
+
 def random_bitnum(m, rng_seed):
     """Uniform value over m independent bits; deterministic per seed.
 
     rng_seed may be an int, a seed sequence list, or a numpy Generator.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return ZERO
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    data = rng.bytes((m + 7) // 8)
-    value = int.from_bytes(data, "little") & ((1 << m) - 1)
-    return BitNum(value)
+    return random_bitnums(m, rng_seed, 1)[0]

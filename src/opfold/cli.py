@@ -7,6 +7,7 @@ overrides it.
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -195,7 +196,7 @@ def build_parser():
     p.add_argument("--m-range", required=True, help="lo:hi[:step] or list")
     p.add_argument("--k-range", default="1:8")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -219,7 +220,7 @@ def build_parser():
     p.add_argument("--exact-weight", action="store_true",
                    help="sample blocks of exact weight round(delta0*b)")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(func=_cmd_density)
 
@@ -233,9 +234,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process-wide parser; it holds no per-call state."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        # read on every call, not baked into the cached parser, so an
+        # OPFOLD_SEED change between in-process calls is honoured and a bad
+        # value fails on any subcommand
+        seed = _default_seed()
+        args = _parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # a --seed command, flag absent
+            args.seed = seed
         return args.func(args)
     except (ValueError, UnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

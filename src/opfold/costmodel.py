@@ -20,7 +20,7 @@ from math import ceil, floor
 import numpy as np
 
 from . import folding
-from .bitnum import random_bitnum
+from .bitnum import random_bitnums
 
 DEFAULT_K_MAX = 8
 
@@ -181,9 +181,7 @@ def measure_mean(m, k, trials, seed):
     total = 0
     total_sq = 0
     for t in range(trials):
-        rng = np.random.default_rng([seed, m, k, t])
-        a = random_bitnum(m, rng)
-        b = random_bitnum(m, rng)
+        a, b = random_bitnums(m, np.random.default_rng([seed, m, k, t]), 2)
         _, ledger = folding.multiply(a, b, m, k)
         total += ledger.total
         total_sq += ledger.total * ledger.total

@@ -9,7 +9,10 @@ k - 1 shift-by-n adds reassembles the full product.
 
 `multiply` runs the fused kernel and reports a per-phase addition ledger;
 `accumulate` / `combine` / `horner_assemble` expose the same phases over
-BitNum values for inspection, and `trace_multiply` snapshots them.
+BitNum values for inspection, and `trace_multiply` snapshots them. The
+phased path reads every column with per-bit probes of the parts on
+purpose: it is a second route to the same cells, independent of the
+fused kernel's bulk column read, so comparing the two checks both.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,12 @@ from .bitnum import BitNum
 # a 1 in the column
 CharacteristicIndex = int
 
-MAX_K = 24  # bank of 2**k - 1 cells must stay allocatable
+# multiply and trace_multiply refuse a degree whose accumulator bank would
+# outgrow BANK_BUDGET_BITS (16 MiB). A cell is charged its width m + ceil(m/k)
+# (the costmodel.memory_bits footprint) plus CELL_OVERHEAD_BITS for the list
+# slot and int object the host keeps per cell, which dominates at small m.
+BANK_BUDGET_BITS = 1 << 27
+CELL_OVERHEAD_BITS = 512
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,23 @@ def horner_assemble(bank, n, k):
     return p
 
 
+def bank_bits(m, k):
+    """Host footprint of the 2**k - 1 accumulator cells, in bits."""
+    return ((1 << k) - 1) * (m + -(-m // k) + CELL_OVERHEAD_BITS)
+
+
 def _validate_multiply(A, B, m, k):
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    # a k as wide as the budget is over it at any m; tested first so a huge
+    # k never builds 1 << k
+    if (k >= BANK_BUDGET_BITS.bit_length()
+            or bank_bits(m, k) > BANK_BUDGET_BITS):
+        raise ValueError(
+            f"k = {k} at m = {m} needs an accumulator bank over the budget "
+            f"of {BANK_BUDGET_BITS} bits")
     if A.bit_length() > m:
         raise ValueError(
             f"multiplicand has {A.bit_length()} bits, exceeds m = {m}")

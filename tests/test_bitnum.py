@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opfold.bitnum import BitNum, UnderflowError, add, random_bitnum, shl, sub, weight
+from opfold.bitnum import (
+    BitNum, UnderflowError, add, random_bitnum, random_bitnums, shl, sub, weight)
 
 values = st.integers(min_value=0, max_value=(1 << 4096) - 1)
 small = st.integers(min_value=0, max_value=(1 << 256) - 1)
@@ -164,6 +165,24 @@ def test_random_bitnum_deterministic():
     assert random_bitnum(0, 1) == BitNum(0)
     for m in (1, 7, 31, 64, 1000):
         assert random_bitnum(m, 5).bit_length() <= m
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 31, 33, 1000, 1024])
+def test_random_bitnums_pair_equals_two_random_bitnum_calls(m):
+    for t in range(20):
+        rng_one = np.random.default_rng([3, m, t])
+        first = random_bitnum(m, rng_one)
+        second = random_bitnum(m, rng_one)
+        rng_pair = np.random.default_rng([3, m, t])
+        assert random_bitnums(m, rng_pair, 2) == (first, second)
+        # the generator is left where the two single draws leave it
+        assert rng_pair.integers(1 << 62) == rng_one.integers(1 << 62)
+        # and both match one Generator.bytes call per value
+        rng_bytes = np.random.default_rng([3, m, t])
+        assert (first, second) == tuple(
+            BitNum(int.from_bytes(rng_bytes.bytes((m + 7) // 8), "little")
+                   & ((1 << m) - 1)) for _ in range(2))
+    assert random_bitnums(0, 1, 2) == (BitNum(0), BitNum(0))
 
 
 @settings(deadline=None)

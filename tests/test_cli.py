@@ -63,6 +63,14 @@ def test_multiply_unparsable_operand_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["multiply", "trace"])
+def test_over_bank_budget_exits_2(command, capsys):
+    rc, out, err = run(capsys, [
+        command, "--a", "1", "--b", "1", "--m", "4096", "--k", "24"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_trace_toy(capsys):
     rc, out, _ = run(capsys, [
         "trace", "--a", "1", "--b", "0b101010100011", "--m", "12"])
@@ -207,6 +215,34 @@ def test_env_seed_not_an_integer_exits_2(monkeypatch, capsys):
     rc, out, err = run(capsys, ["table"])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "OPFOLD_SEED" in err
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    argv = ["bench", "--m-range", "64", "--k-range", "3", "--trials", "5"]
+    rc, first, _ = run(capsys, argv + ["--seed", "4"])
+    assert rc == 0
+    rc, second, _ = run(capsys, argv + ["--seed", "4"])
+    assert rc == 0
+    rc, unseeded, _ = run(capsys, argv)
+    assert rc == 0
+    assert len(built) == 1
+    # a parser built fresh for the call gives the same bytes
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    rc, fresh, _ = run(capsys, argv + ["--seed", "4"])
+    assert rc == 0
+    assert first == second == fresh
+    rc, fresh_unseeded, _ = run(capsys, argv)
+    assert rc == 0
+    assert unseeded == fresh_unseeded != first
 
 
 def test_env_seed_default(monkeypatch, capsys):

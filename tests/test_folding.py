@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfold.bitnum import BitNum
-from opfold.costmodel import f_wst
+from opfold.costmodel import f_wst, memory_bits
 from opfold.folding import (
+    BANK_BUDGET_BITS,
+    CELL_OVERHEAD_BITS,
     AccumulatorBank,
     CostLedger,
     Decomposition,
     accumulate,
+    bank_bits,
     characteristic_vectors,
     combine,
     combine_add_count,
@@ -287,6 +290,60 @@ def test_fused_matches_phased_path(case):
     trace = trace_multiply(BitNum(a), BitNum(b), m, k)
     assert trace.product == product
     assert trace.ledger == ledger
+
+
+def test_fused_matches_phased_path_grid():
+    # every combine round of every k in 1..10, against the per-bit route
+    rng = random.Random(31)
+    for m in range(1, 41):
+        full = (1 << m) - 1
+        pairs = [(0, 0), (full, full)] + [
+            (rng.getrandbits(m), rng.getrandbits(m)) for _ in range(2)]
+        for k in range(1, 11):
+            for a, b in pairs:
+                A, B = BitNum(a), BitNum(b)
+                product, ledger = multiply(A, B, m, k)
+                trace = trace_multiply(A, B, m, k)
+                assert product.to_int() == a * b
+                assert (product, ledger) == (trace.product, trace.ledger)
+
+
+# --- bank budget -----------------------------------------------------------
+
+def test_bank_bits_is_memory_bits_plus_cell_overhead():
+    for m, k in ((1, 1), (12, 2), (1024, 5), (4096, 8), (3000, 11)):
+        assert bank_bits(m, k) == (memory_bits(m, k)
+                                   + ((1 << k) - 1) * CELL_OVERHEAD_BITS)
+
+
+def test_bank_budget_accepts_every_k_to_8_up_to_m_4096():
+    assert max(bank_bits(m, k) for m in (1, 4095, 4096)
+               for k in range(1, 9)) <= BANK_BUDGET_BITS
+    product, _ = multiply(BitNum(3), BitNum((1 << 4096) - 1), 4096, 8)
+    assert product.to_int() == 3 * ((1 << 4096) - 1)
+
+
+def test_bank_budget_boundary():
+    # largest accepted k at m = 1 and the first rejected one; only the
+    # accepted side is multiplied
+    k = max(k for k in range(1, 28) if bank_bits(1, k) <= BANK_BUDGET_BITS)
+    assert bank_bits(1, k + 1) > BANK_BUDGET_BITS
+    product, _ = multiply(BitNum(1), BitNum(1), 1, k)
+    assert product == BitNum(1)
+    for fn in (multiply, trace_multiply):
+        with pytest.raises(ValueError, match=str(BANK_BUDGET_BITS)):
+            fn(BitNum(1), BitNum(1), 1, k + 1)
+    # a wide operand at the paper's k = 5 is over budget too; zero operands
+    # keep the rejected call from building anything
+    m = 4_000_000
+    assert bank_bits(m, 5) > BANK_BUDGET_BITS
+    with pytest.raises(ValueError, match="budget"):
+        multiply(BitNum(0), BitNum(0), m, 5)
+
+
+def test_bank_budget_rejects_huge_k_without_building_it():
+    with pytest.raises(ValueError, match="budget"):
+        multiply(BitNum(1), BitNum(1), 4096, 10**12)
 
 
 # --- k=2 reference loop ----------------------------------------------------
