@@ -1,7 +1,7 @@
 """Instrumented operand-folding multiplication models."""
 
 from ._kernel import KERNEL_NAME
-from .bitnum import BitNum, UnderflowError, add, random_bitnum, shl, sub, weight
+from .bitnum import BitNum, UnderflowError, random_bitnum
 from .folding import (
     AccumulatorBank,
     CostLedger,
@@ -30,7 +30,6 @@ from .costmodel import (
     yen_cost,
 )
 from .density import (
-    DensityState,
     SplitOutcome,
     TreeReport,
     logistic_step,
@@ -46,14 +45,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_NAME",
-    "BitNum", "UnderflowError", "add", "sub", "shl", "weight", "random_bitnum",
+    "BitNum", "UnderflowError", "random_bitnum",
     "Decomposition", "AccumulatorBank", "CostLedger", "MultiplyTrace",
     "split", "characteristic_vectors", "accumulate", "combine",
     "horner_assemble", "multiply", "trace_multiply", "format_trace",
     "SignedDigitString", "classical_multiply", "csd_recode", "csd_multiply",
     "CostModelRow", "Table1Row", "f_avg", "f_wst", "optimal_k",
     "asymptotic_ratio", "combine_cost", "yen_cost", "memory_bits", "table1",
-    "DensityState", "SplitOutcome", "TreeReport", "logistic_step",
+    "SplitOutcome", "TreeReport", "logistic_step",
     "telescoping_sum", "split_gain", "tree_gain", "simulate_split",
     "simulate_tree",
     "HdlConfig", "emit",

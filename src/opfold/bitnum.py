@@ -146,30 +146,6 @@ class BitNum:
         return f"BitNum({self.to_bin()})"
 
 
-ZERO = BitNum(0)
-ONE = BitNum(1)
-
-
-def add(x, y):
-    """x + y."""
-    return x + y
-
-
-def sub(x, y):
-    """x - y; raises UnderflowError when y > x."""
-    return x - y
-
-
-def shl(x, s):
-    """x * 2**s."""
-    return x << s
-
-
-def weight(x):
-    """Number of set bits (Hamming weight)."""
-    return x.weight()
-
-
 def random_bitnums(m, rng_seed, count):
     """`count` uniform values over m independent bits, from one draw.
 
@@ -181,7 +157,7 @@ def random_bitnums(m, rng_seed, count):
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
-        return (ZERO,) * count
+        return (BitNum(0),) * count
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
     nbytes = (m + 7) // 8

@@ -75,10 +75,16 @@ def _write_output(text, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_multiply(args):
+def _operands(args):
+    """(A, B, m) of multiply and trace; m defaults to B's width."""
     a = BitNum.parse(args.a)
     b = BitNum.parse(args.b)
     m = args.m if args.m is not None else max(1, b.bit_length())
+    return a, b, m
+
+
+def _cmd_multiply(args):
+    a, b, m = _operands(args)
     product, ledger = folding.multiply(a, b, m, args.k)
     n = (m + args.k - 1) // args.k
     out = [
@@ -97,10 +103,7 @@ def _cmd_multiply(args):
 
 
 def _cmd_trace(args):
-    a = BitNum.parse(args.a)
-    b = BitNum.parse(args.b)
-    m = args.m if args.m is not None else max(1, b.bit_length())
-    trace = folding.trace_multiply(a, b, m, args.k)
+    trace = folding.trace_multiply(*_operands(args), args.k)
     _write_output(folding.format_trace(trace) + "\n", args.out)
     return 0
 
@@ -176,21 +179,18 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "pretty-table"),
                        default=fmt_default)
 
-    p = sub.add_parser("multiply", help="one folded product with its ledger")
-    p.add_argument("--a", required=True, help="multiplicand (0b/0x/decimal)")
-    p.add_argument("--b", required=True, help="multiplier (0b/0x/decimal)")
-    p.add_argument("--m", type=int, help="operand width (default: fit B)")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_multiply)
-
-    p = sub.add_parser("trace", help="phase-by-phase multiply snapshot")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_trace)
+    for name, func, text in (
+            ("multiply", _cmd_multiply, "one folded product with its ledger"),
+            ("trace", _cmd_trace, "phase-by-phase multiply snapshot")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--a", required=True,
+                       help="multiplicand (0b/0x/decimal)")
+        p.add_argument("--b", required=True,
+                       help="multiplier (0b/0x/decimal)")
+        p.add_argument("--m", type=int, help="operand width (default: fit B)")
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bench", help="predicted vs measured addition counts")
     p.add_argument("--m-range", required=True, help="lo:hi[:step] or list")

@@ -25,16 +25,25 @@ from .bitnum import random_bitnums
 DEFAULT_K_MAX = 8
 
 
-def _validate(m, k):
+# the package's only m and k checks; folding.split and multiply call them too
+def _check_m(m):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+
+
+def _check_k(k):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _validate(m, k):
+    _check_m(m)
+    _check_k(k)
+
+
 def phase_constant(k):
     """Fixed combine + Horner additions: 2**(k+1) - k - 3."""
-    return (1 << (k + 1)) - k - 3
+    return combine_cost(k) + k - 1
 
 
 def f_avg(m, k):
@@ -57,8 +66,16 @@ def affine_avg(m, k):
 
 
 def optimal_k(m, k_max=DEFAULT_K_MAX):
-    """Degree minimizing the affine average cost; ties to the larger k."""
+    """Degree minimizing the affine average cost; ties to the larger k.
+
+    k_max may not pass folding.K_CEILING, the degree no bank budget admits.
+    """
     _validate(m, k_max)
+    if k_max > folding.K_CEILING:
+        raise ValueError(
+            f"k_max = {k_max} exceeds {folding.K_CEILING}, the largest degree "
+            f"whose accumulator bank can fit the budget of "
+            f"{folding.BANK_BUDGET_BITS} bits")
     best_k = 1
     best = affine_avg(m, 1)
     for k in range(2, k_max + 1):
@@ -71,22 +88,19 @@ def optimal_k(m, k_max=DEFAULT_K_MAX):
 
 def asymptotic_ratio(k):
     """Large-m additions ratio of classical over folded: k*2**(k-1)/(2**k - 1)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     return Fraction(k << (k - 1), (1 << k) - 1)
 
 
 def combine_cost(k):
     """Combination additions 2**(k+1) - 2k - 2 (= sum of 2**i - 2)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     return (1 << (k + 1)) - 2 * k - 2
 
 
 def yen_cost(k):
     """Combination additions of the compared scheme: k*(2**(k-1) - 1)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     return k * ((1 << (k - 1)) - 1)
 
 

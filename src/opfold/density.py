@@ -30,14 +30,6 @@ MODES = ("nodes-only", "full-recursive")
 
 
 @dataclass(frozen=True)
-class DensityState:
-    """Block-level model state: density and block length."""
-
-    delta: float
-    length_b: int
-
-
-@dataclass(frozen=True)
 class SplitOutcome:
     """The three children of one halving split with measured densities."""
 
@@ -254,9 +246,24 @@ def _sample_block(b, delta, rng, exact_weight):
     return bernoulli_block(b, delta, rng)
 
 
-def _series_stats(samples_by_level, predicted, trials, seed):
+def _series(b, depth, delta0, trials, seed, mode, exact_weight, field,
+            predict):
+    """Per-level mean and stderr of one LevelStats field over seeded trials.
+
+    Trial t walks a block drawn from default_rng([seed, b, t]); predict()
+    gives the closed-form value per level once the trials have run.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    by_level = [[] for _ in range(depth + 1)]
+    for t in range(trials):
+        rng = np.random.default_rng([seed, b, t])
+        block = _sample_block(b, delta0, rng, exact_weight)
+        report = simulate_tree(block, b, depth, mode)
+        for level in range(depth + 1):
+            by_level[level].append(getattr(report.levels[level], field))
     rows = []
-    for level, (samples, pred) in enumerate(zip(samples_by_level, predicted)):
+    for level, (samples, pred) in enumerate(zip(by_level, predict())):
         mean = sum(samples) / trials
         if trials > 1:
             var = sum((s - mean) ** 2 for s in samples) / (trials - 1)
@@ -277,33 +284,16 @@ def _series_stats(samples_by_level, predicted, trials, seed):
 def gain_series(b, depth, delta0, trials, seed, mode="nodes-only",
                 exact_weight=False):
     """Cumulative gain per level, measured against the closed form."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    samples = [[] for _ in range(depth + 1)]
-    for t in range(trials):
-        rng = np.random.default_rng([seed, b, t])
-        block = _sample_block(b, delta0, rng, exact_weight)
-        report = simulate_tree(block, b, depth, mode)
-        for level in range(depth + 1):
-            samples[level].append(report.levels[level].cumulative_gain)
     form = tree_gain if mode == "nodes-only" else full_gain
-    predicted = [form(delta0, b, j) for j in range(depth + 1)]
-    return _series_stats(samples, predicted, trials, seed)
+    return _series(b, depth, delta0, trials, seed, mode, exact_weight,
+                   "cumulative_gain",
+                   lambda: [form(delta0, b, j) for j in range(depth + 1)])
 
 
 def density_series(b, depth, delta0, trials, seed, exact_weight=False):
     """Frontier density per level, measured against the logistic iterates."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    samples = [[] for _ in range(depth + 1)]
-    for t in range(trials):
-        rng = np.random.default_rng([seed, b, t])
-        block = _sample_block(b, delta0, rng, exact_weight)
-        report = simulate_tree(block, b, depth, "nodes-only")
-        for level in range(depth + 1):
-            samples[level].append(report.levels[level].frontier_density)
-    predicted = iterates(delta0, depth)
-    return _series_stats(samples, predicted, trials, seed)
+    return _series(b, depth, delta0, trials, seed, "nodes-only", exact_weight,
+                   "frontier_density", lambda: iterates(delta0, depth))
 
 
 SERIES_COLUMNS = ("depth_or_iter", "predicted", "measured",

@@ -18,6 +18,7 @@ fused kernel's bulk column read, so comparing the two checks both.
 from dataclasses import dataclass, field
 
 from . import _kernel as _k
+from . import costmodel
 from .bitnum import BitNum
 
 # accumulator cell key: int in 1 .. 2**k - 1, bit j-1 set means part j has
@@ -28,8 +29,11 @@ CharacteristicIndex = int
 # outgrow BANK_BUDGET_BITS (16 MiB). A cell is charged its width m + ceil(m/k)
 # (the costmodel.memory_bits footprint) plus CELL_OVERHEAD_BITS for the list
 # slot and int object the host keeps per cell, which dominates at small m.
+# No m admits a degree above K_CEILING: its 2**k - 1 cells alone outnumber
+# the budget's bits. multiply and costmodel.optimal_k test it before 1 << k.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512
+K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -92,20 +96,23 @@ class CostLedger:
         return self.accumulate_adds + self.combine_adds + self.horner_adds
 
 
-def combine_add_count(k):
-    """The fixed combination budget 2**(k+1) - 2k - 2."""
-    return (1 << (k + 1)) - 2 * k - 2
+def _check(m, k, *named):
+    """k and m at least 1, then each (name, operand) at most m bits wide."""
+    costmodel._check_k(k)
+    costmodel._check_m(m)
+    for name, x in named:
+        if x.bit_length() > m:
+            raise ValueError(
+                f"{name} has {x.bit_length()} bits, exceeds m = {m}")
 
 
 def split(B, m, k):
     """Split B into k parts of n = ceil(m/k) bits, B_k holding the pad."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if B.bit_length() > m:
-        raise ValueError(
-            f"operand has {B.bit_length()} bits, exceeds m = {m}")
+    _check(m, k, ("operand", B))
+    return _split(B, m, k)
+
+
+def _split(B, m, k):
     n = (m + k - 1) // k
     mask = (1 << n) - 1
     v = B.to_int()
@@ -183,27 +190,16 @@ def horner_assemble(bank, n, k):
 
 def bank_bits(m, k):
     """Host footprint of the 2**k - 1 accumulator cells, in bits."""
-    return ((1 << k) - 1) * (m + -(-m // k) + CELL_OVERHEAD_BITS)
+    overhead = ((1 << k) - 1) * CELL_OVERHEAD_BITS
+    return costmodel.memory_bits(m, k) + overhead
 
 
 def _validate_multiply(A, B, m, k):
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    # a k as wide as the budget is over it at any m; tested first so a huge
-    # k never builds 1 << k
-    if (k >= BANK_BUDGET_BITS.bit_length()
-            or bank_bits(m, k) > BANK_BUDGET_BITS):
+    _check(m, k, ("multiplicand", A), ("multiplier", B))
+    if k > K_CEILING or bank_bits(m, k) > BANK_BUDGET_BITS:
         raise ValueError(
             f"k = {k} at m = {m} needs an accumulator bank over the budget "
             f"of {BANK_BUDGET_BITS} bits")
-    if A.bit_length() > m:
-        raise ValueError(
-            f"multiplicand has {A.bit_length()} bits, exceeds m = {m}")
-    if B.bit_length() > m:
-        raise ValueError(
-            f"multiplier has {B.bit_length()} bits, exceeds m = {m}")
 
 
 def multiply(A, B, m, k):
@@ -244,7 +240,7 @@ class MultiplyTrace:
 def trace_multiply(A, B, m, k):
     """Run the phased reference path, snapshotting every stage."""
     _validate_multiply(A, B, m, k)
-    d = split(B, m, k)
+    d = _split(B, m, k)
     vectors = characteristic_vectors(d)
     bank_acc, acc_count = accumulate(A, d)
     bank_comb = combine(bank_acc, k)
@@ -254,7 +250,7 @@ def trace_multiply(A, B, m, k):
         default=0)
     ledger = CostLedger(
         accumulate_adds=acc_count,
-        combine_adds=combine_add_count(k),
+        combine_adds=costmodel.combine_cost(k),
         horner_adds=k - 1,
         shifts=d.n + k - 1,
         peak_cell_bits=peak,

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opfold.bitnum import (
-    BitNum, UnderflowError, add, random_bitnum, random_bitnums, shl, sub, weight)
+from opfold.bitnum import BitNum, UnderflowError, random_bitnum, random_bitnums
 
 values = st.integers(min_value=0, max_value=(1 << 4096) - 1)
 small = st.integers(min_value=0, max_value=(1 << 256) - 1)
@@ -25,7 +24,7 @@ def test_add_matches_oracle(x, y):
 
 def test_add_small_cases():
     assert (BitNum(0) + BitNum(9)).to_int() == 9
-    assert add(BitNum(0b101), BitNum(0b011)).to_int() == 0b1000
+    assert (BitNum(0b101) + BitNum(0b011)).to_int() == 0b1000
 
 
 @given(values, values)
@@ -41,10 +40,10 @@ def test_sub_matches_oracle(x, y):
 def test_sub_underflow(x, y):
     hi, lo = max(x, y), min(x, y)
     if hi == lo:
-        assert sub(BitNum(hi), BitNum(lo)).to_int() == 0
+        assert (BitNum(hi) - BitNum(lo)).to_int() == 0
     else:
         with pytest.raises(UnderflowError):
-            sub(BitNum(lo), BitNum(hi))
+            BitNum(lo) - BitNum(hi)
 
 
 @given(values, st.integers(min_value=0, max_value=300))
@@ -55,12 +54,12 @@ def test_shl_matches_oracle(x, s):
     assert got.to_int() == x << s
     if x:
         assert got.bit_length() == BitNum(x).bit_length() + s
-    assert weight(got) == weight(BitNum(x))
+    assert got.weight() == BitNum(x).weight()
 
 
 def test_shl_small_cases():
-    assert shl(BitNum(7), 0).to_int() == 7
-    assert shl(BitNum(1), 5).to_int() == 0b100000
+    assert (BitNum(7) << 0).to_int() == 7
+    assert (BitNum(1) << 5).to_int() == 0b100000
     toy = BitNum(0b101010100011)
     assert (toy << 6).to_bin() == "0b101010100011000000"
 
@@ -92,12 +91,12 @@ def test_oracle_corpus_10k():
 
 @given(values)
 def test_weight_matches_oracle(x):
-    assert weight(BitNum(x)) == bin(x).count("1")
+    assert BitNum(x).weight() == bin(x).count("1")
 
 
 def test_weight_examples():
-    assert weight(BitNum(0)) == 0
-    assert weight(BitNum(0b101010100011)) == 6
+    assert BitNum(0).weight() == 0
+    assert BitNum(0b101010100011).weight() == 6
 
 
 def test_weight_mean_1024():

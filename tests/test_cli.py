@@ -149,6 +149,13 @@ def test_optk_requires_m_or_range(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_optk_k_max_over_the_degree_ceiling_exits_2(capsys):
+    rc, out, err = run(capsys, ["optk", "--m", "1024",
+                                "--k-max", "1000000000"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "1000000000" in err
+
+
 # --- density ----------------------------------------------------------------------
 
 def test_density_gain_csv(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfold.bitnum import BitNum
-from opfold.folding import multiply
+from opfold.folding import BANK_BUDGET_BITS, K_CEILING, multiply
 from opfold.costmodel import (
     SWEEP_COLUMNS,
     affine_avg,
@@ -141,6 +141,20 @@ def test_optimal_k_exhaustive_scan_matches_ranges():
 def test_optimal_k_respects_k_max():
     assert optimal_k(2123, k_max=5) == 5
     assert optimal_k(1024, k_max=2) == 2
+
+
+def test_optimal_k_rejects_k_max_over_the_degree_ceiling():
+    # the ceiling is the one multiply tests first: no m fits a wider bank
+    assert K_CEILING == BANK_BUDGET_BITS.bit_length() - 1 == 27
+    for k_max in (K_CEILING + 1, 10**9):
+        with pytest.raises(ValueError, match=f"exceeds {K_CEILING}"):
+            optimal_k(1024, k_max=k_max)
+
+
+def test_optimal_k_ceiling_does_not_depend_on_m():
+    assert optimal_k(10**9, k_max=K_CEILING) == 21
+    assert optimal_k(10_000_000) == 8
+    assert optimal_k(1, k_max=K_CEILING) == 1
 
 
 # --- comparison numbers -------------------------------------------------------

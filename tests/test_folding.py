@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfold.bitnum import BitNum
-from opfold.costmodel import f_wst, memory_bits
+from opfold.costmodel import combine_cost, f_wst, memory_bits
 from opfold.folding import (
     BANK_BUDGET_BITS,
     CELL_OVERHEAD_BITS,
@@ -17,7 +17,6 @@ from opfold.folding import (
     bank_bits,
     characteristic_vectors,
     combine,
-    combine_add_count,
     format_trace,
     horner_assemble,
     multiply,
@@ -66,6 +65,24 @@ def test_split_rejects():
         split(TOY, 0, 2)
     with pytest.raises(ValueError):
         split(TOY, 11, 2)  # 12-bit operand
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: split(TOY, 12, 0), "k must be >= 1, got 0"),
+    (lambda: split(TOY, 0, 0), "k must be >= 1, got 0"),
+    (lambda: split(TOY, 0, 2), "m must be >= 1, got 0"),
+    (lambda: split(TOY, 11, 2), "operand has 12 bits, exceeds m = 11"),
+    (lambda: multiply(BitNum(1), BitNum(1), 0, 0), "k must be >= 1, got 0"),
+    (lambda: multiply(BitNum(1), BitNum(1), 0, 2), "m must be >= 1, got 0"),
+    (lambda: multiply(BitNum(256), BitNum(256), 8, 2),
+     "multiplicand has 9 bits, exceeds m = 8"),
+    (lambda: trace_multiply(BitNum(1), BitNum(256), 8, 2),
+     "multiplier has 9 bits, exceeds m = 8"),
+])
+def test_input_check_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @given(mk_cases())
@@ -220,7 +237,7 @@ def test_multiply_zero_multiplier_ledger():
         product, ledger = multiply(BitNum(777), BitNum(0), 16, k)
         assert product.is_zero()
         assert ledger.accumulate_adds == 0
-        assert ledger.combine_adds == combine_add_count(k)
+        assert ledger.combine_adds == combine_cost(k)
         assert ledger.horner_adds == k - 1
 
 
@@ -263,7 +280,7 @@ def test_multiply_ledger_invariants(case):
     n = -(-m // k)
     product, ledger = multiply(BitNum(a), BitNum(b), m, k)
     assert product.to_int() == a * b
-    assert ledger.combine_adds == combine_add_count(k)
+    assert ledger.combine_adds == combine_cost(k)
     assert ledger.horner_adds == k - 1
     assert 0 <= ledger.accumulate_adds <= n
     assert ledger.shifts == n + k - 1
