@@ -1,38 +1,81 @@
 """Instrumented shift-and-add multiply kernels over non-negative host ints.
 
-Each kernel walks its multiplier and builds the product from additions of
-shifted copies of the multiplicand, counting every addition and shift.
+Each kernel reads its multiplier and builds the product from additions (or
+subtractions) of shifted copies of the multiplicand, and counts them.
 The product never comes from native `*`, so tests that check it against
-`a * b` still compare two independent routes.
+`a * b` still compare two independent routes. The three kernels differ in
+how they read the multiplier b:
 
-fold_multiply uses numpy for one thing only: reading the multiplier's bits
-into the column indices of the k x n part array in one call. numpy never
-sees the multiplicand and never forms a product or a cell: every counted
-addition is one int `+`, of a shifted multiplicand into a cell
-(accumulate) or of two cells (combine, Horner).
+- classical_multiply takes the set-bit positions of b (`_set_bits`) and
+  adds `a << i` once per set bit.
+- csd_multiply recodes b into its non-adjacent form (`naf_masks`), adds
+  `a << i` for every +1 digit and then subtracts it for every -1 digit.
+- fold_multiply reads b's bits into the column indices of the k x n part
+  array with one numpy call. numpy never sees the multiplicand and never
+  forms a product or a cell: every counted addition is one int `+`, of a
+  shifted multiplicand into a cell (accumulate) or of two cells (combine,
+  Horner).
+
+Reading the multiplier (bit positions, NAF masks, column indices) is
+recoding, not counted work.
 """
 
 import operator
+from functools import reduce
+from itertools import compress, count
 
 import numpy as np
 
 KERNEL_NAME = "pure"
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_flags(x, width):
+    """Bits of x, 0 <= x < 2**width, as width bytes of 0/1, lowest first."""
+    # the sentinel bit at `width` keeps the leading zeros, and the reversed
+    # slice drops it again
+    return format(x | 1 << width, "b")[:0:-1].encode("ascii").translate(
+        _BIT_FLAGS)
+
+
+def _set_bits(x):
+    """Iterator over the positions of the set bits of x >= 0, lowest first."""
+    return compress(count(), _bit_flags(x, x.bit_length()))
+
+
+def naf_masks(b):
+    """Non-adjacent form of b >= 0 as two masks; returns (plus, minus).
+
+    Bit i of plus (minus) is set iff NAF digit i is +1 (-1), so
+    plus - minus == b and popcount(plus | minus) is the NAF weight
+    (Reitwiesner's recoding in closed mask form).
+    """
+    half = b >> 1
+    t = b + half
+    d = half ^ t
+    return t & d, half & d
+
 
 def classical_multiply(a, b):
     """Shift-and-add product of two ints; returns (product, add count).
 
-    One addition per set bit of b; the running addend is shifted left one
-    position per multiplier bit.
+    One addition of `a << i` per set bit i of b.
     """
-    acc = 0
-    adds = 0
-    for bit in reversed(format(b, "b")):
-        if bit == "1":
-            acc += a
-            adds += 1
-        a <<= 1
-    return acc, adds
+    return sum(map(a.__lshift__, _set_bits(b))), b.bit_count()
+
+
+def csd_multiply(a, b):
+    """Signed-digit product of two ints; returns (product, add count).
+
+    One addition of `a << i` per +1 NAF digit of b, then one subtraction
+    per -1 digit. Every + term goes in before any - term, so the running
+    value never drops below a * b >= 0.
+    """
+    plus, minus = naf_masks(b)
+    p = sum(map(a.__lshift__, _set_bits(plus)))
+    p = reduce(operator.sub, map(a.__lshift__, _set_bits(minus)), p)
+    return p, plus.bit_count() + minus.bit_count()
 
 
 def fold_multiply(a, b, m, k):

@@ -2,8 +2,11 @@
 
 Both count whole-operand additions, the same unit as the folded ledger;
 a subtraction in the signed-digit path costs one unit like an addition.
+Both run in the kernel layer on host ints, like the folded multiply: the
+functions here only wrap and unwrap BitNum values.
 """
 
+import operator
 from dataclasses import dataclass
 
 from . import _kernel as _k
@@ -54,40 +57,23 @@ def classical_multiply(A, B):
 def csd_recode(B):
     """Minimal-weight signed-digit form with no adjacent nonzero digits.
 
-    Standard carry recoding: c_{i+1} = (b_i + b_{i+1} + c_i) >> 1 and
-    d_i = b_i + c_i - 2*c_{i+1}.
+    The non-adjacent form read off the kernel's NAF masks: digit i is +1
+    (-1) where bit i of the plus (minus) mask is set. The top digit is
+    always +1, so the plus mask's width is the digit count.
     """
-    length = B.bit_length()
-    digits = []
-    carry = 0
-    for i in range(length + 1):
-        b_i = B.bit(i)
-        carry_next = (b_i + B.bit(i + 1) + carry) >> 1
-        digits.append(b_i + carry - 2 * carry_next)
-        carry = carry_next
-    while digits and digits[-1] == 0:
-        digits.pop()
+    plus, minus = _k.naf_masks(B.to_int())
+    width = plus.bit_length()
+    digits = map(operator.sub, _k._bit_flags(plus, width),
+                 _k._bit_flags(minus, width))
     return SignedDigitString(digits=tuple(digits))
 
 
 def csd_multiply(A, B):
-    """Shift-add/shift-subtract product over the recoded multiplier.
+    """Shift-add/shift-subtract product over the NAF of B.
 
-    Count = nonzero digits. Scanning from the top digit keeps the running
-    value at least 2*A whenever a -1 digit is applied (the leading nonzero
-    digit of a nonnegative recoding is +1), so the subtraction never
-    underflows.
+    Count = nonzero NAF digits; a subtraction costs one unit like an
+    addition. The kernel adds every +1 digit's term before it subtracts
+    any -1 digit's term, so the running value never underflows.
     """
-    sd = csd_recode(B)
-    p = BitNum(0)
-    count = 0
-    for i in range(len(sd.digits) - 1, -1, -1):
-        p = p << 1
-        d = sd.digits[i]
-        if d == 1:
-            p = p + A
-            count += 1
-        elif d == -1:
-            p = p - A
-            count += 1
-    return p, count
+    product, count = _k.csd_multiply(A.to_int(), B.to_int())
+    return BitNum._wrap(product), count

@@ -189,9 +189,12 @@ def horner_assemble(bank, n, k):
 
 
 def bank_bits(m, k):
-    """Host footprint of the 2**k - 1 accumulator cells, in bits."""
+    """Host footprint of the 2**k - 1 accumulator cells, in bits.
+
+    Unchecked: callers pass m, k >= 1 (multiply runs _check first).
+    """
     overhead = ((1 << k) - 1) * CELL_OVERHEAD_BITS
-    return costmodel.memory_bits(m, k) + overhead
+    return costmodel._memory_bits(m, k) + overhead
 
 
 def _validate_multiply(A, B, m, k):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from opfold import _corepy
 from opfold.bitnum import BitNum, random_bitnum
 from opfold.baselines import (
     SignedDigitString,
@@ -167,3 +168,97 @@ def test_all_multipliers_agree():
         assert csd_multiply(a, b)[0].to_int() == want
         for k in range(1, 7):
             assert fold_multiply(a, b, m, k)[0].to_int() == want
+
+
+# --- kernels against the digit-by-digit schedules ------------------------------
+
+FIXED_A = (0, 1, 3, 0xDEADBEEF, (1 << 200) - 1)
+
+
+def _shift_loop(a, b):
+    """Classical schedule one multiplier bit at a time: add a, shift a."""
+    acc = adds = 0
+    for bit in reversed(format(b, "b")):
+        if bit == "1":
+            acc += a
+            adds += 1
+        a <<= 1
+    return acc, adds
+
+
+def _carry_recode(b):
+    """NAF digits by the per-bit carry recurrence, index 0 = LSB."""
+    digits = []
+    carry = 0
+    for i in range(b.bit_length() + 1):
+        b_i = b >> i & 1
+        carry_next = (b_i + (b >> (i + 1) & 1) + carry) >> 1
+        digits.append(b_i + carry - 2 * carry_next)
+        carry = carry_next
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return tuple(digits)
+
+
+def _digit_walk(a, digits):
+    """Signed-digit schedule from the top digit: p = (p << 1) +/- a."""
+    p = count = 0
+    for d in reversed(digits):
+        p <<= 1
+        if d == 1:
+            p += a
+            count += 1
+        elif d == -1:
+            p -= a
+            count += 1
+        assert p >= 0
+    return p, count
+
+
+def _edge_multipliers(m):
+    return (0, 1, (1 << m) - 1, int(("01" * m)[:m], 2),
+            int(("1011" * m)[:m], 2))
+
+
+def _check_kernels(b, multiplicands):
+    digits = csd_recode(BitNum(b)).digits
+    assert digits == _carry_recode(b)
+    for a in multiplicands:
+        assert _corepy.classical_multiply(a, b) == _shift_loop(a, b)
+        assert _corepy.csd_multiply(a, b) == _digit_walk(a, digits)
+
+
+def test_kernels_match_digit_schedules_exhaustive():
+    for b in range(4097):
+        _check_kernels(b, FIXED_A)
+
+
+def test_kernels_match_digit_schedules_wide():
+    rng = random.Random(4096)
+    for m in (1, 2, 7, 64, 1023, 4096):
+        for b in _edge_multipliers(m):
+            _check_kernels(b, (rng.getrandbits(m),))
+    for _ in range(60):
+        m = rng.randrange(1, 4097)
+        _check_kernels(rng.getrandbits(m), (rng.getrandbits(m),))
+
+
+def test_naf_masks_shape():
+    rng = random.Random(1960)
+    wide = [rng.getrandbits(rng.randrange(1, 4097)) for _ in range(60)]
+    wide += [b for m in (64, 4096) for b in _edge_multipliers(m)]
+    for b in [*range(4097), *wide]:
+        plus, minus = _corepy.naf_masks(b)
+        nonzero = plus | minus
+        assert plus & minus == 0
+        assert plus - minus == b
+        assert nonzero & (nonzero >> 1) == 0
+        assert nonzero.bit_count() == ((b + (b >> 1)) ^ (b >> 1)).bit_count()
+
+
+def test_set_bits():
+    assert list(_corepy._set_bits(0)) == []
+    assert list(_corepy._set_bits(1)) == [0]
+    assert list(_corepy._set_bits((1 << 4096) - 1)) == list(range(4096))
+    sparse = (1 << 4095) | (1 << 1000) | (1 << 3)
+    assert list(_corepy._set_bits(sparse)) == [3, 1000, 4095]
