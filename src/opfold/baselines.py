@@ -9,8 +9,10 @@ functions here only wrap and unwrap BitNum values.
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernel as _k
-from .bitnum import BitNum
+from .bitnum import BitNum, _from_bits
 
 
 @dataclass(frozen=True)
@@ -23,9 +25,8 @@ class SignedDigitString:
         for d in self.digits:
             if d not in (-1, 0, 1):
                 raise ValueError(f"digit {d} outside {{-1, 0, +1}}")
-        for lo, hi in zip(self.digits, self.digits[1:]):
-            if lo != 0 and hi != 0:
-                raise ValueError("adjacent nonzero digits")
+        if b"\x01\x01" in bytes(map(bool, self.digits)):
+            raise ValueError("adjacent nonzero digits")
         if self.digits and self.digits[-1] == 0:
             raise ValueError("leading zero digit")
 
@@ -33,19 +34,12 @@ class SignedDigitString:
         return len(self.digits)
 
     def nonzero_count(self):
-        return sum(1 for d in self.digits if d)
+        return len(self.digits) - self.digits.count(0)
 
     def value(self):
-        """Decode back to the unsigned value."""
-        pos = BitNum(0)
-        neg = BitNum(0)
-        one = BitNum(1)
-        for i, d in enumerate(self.digits):
-            if d == 1:
-                pos = pos + (one << i)
-            elif d == -1:
-                neg = neg + (one << i)
-        return pos - neg
+        """Decode back to the unsigned value: +1 mask minus -1 mask."""
+        a = np.asarray(self.digits)
+        return BitNum(_from_bits(a == 1)) - BitNum(_from_bits(a == -1))
 
 
 def classical_multiply(A, B):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitnum import BitNum
+from .bitnum import BitNum, _from_bits
 
 MODES = ("nodes-only", "full-recursive")
 
@@ -223,21 +223,16 @@ def bernoulli_block(b, delta, rng):
         raise ValueError(f"block length must be >= 0, got {b}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"density {delta} outside [0, 1]")
-    if b == 0:
-        return BitNum(0)
-    bits = (rng.random(b) < delta).astype(np.uint8)
-    data = np.packbits(bits, bitorder="little").tobytes()
-    return BitNum(int.from_bytes(data, "little"))
+    return BitNum._wrap(_from_bits(rng.random(b) < delta))
 
 
 def exact_weight_block(b, w, rng):
     """Random b-bit block with exactly w set bits (variance reduction)."""
     if not 0 <= w <= b:
         raise ValueError(f"weight {w} outside 0..{b}")
-    value = 0
-    for pos in rng.choice(b, size=w, replace=False):
-        value |= 1 << int(pos)
-    return BitNum._wrap(value)
+    bits = np.zeros(b, bool)
+    bits[rng.choice(b, size=w, replace=False)] = True
+    return BitNum._wrap(_from_bits(bits))
 
 
 def _sample_block(b, delta, rng, exact_weight):

@@ -9,10 +9,12 @@ k - 1 shift-by-n adds reassembles the full product.
 
 `multiply` runs the fused kernel and reports a per-phase addition ledger;
 `accumulate` / `combine` / `horner_assemble` expose the same phases over
-BitNum values for inspection, and `trace_multiply` snapshots them. The
-phased path reads every column with per-bit probes of the parts on
-purpose: it is a second route to the same cells, independent of the
-fused kernel's bulk column read, so comparing the two checks both.
+BitNum values for inspection, and `trace_multiply` snapshots them.
+`accumulate` reads every column with per-bit probes of the parts on
+purpose, and is the only place that does: it is a second route to the same
+cells, independent of the fused kernel's bulk column read, so comparing
+the two checks both. `characteristic_vectors` is a third, word-level route
+to the column patterns, built from whole parts with AND and complement.
 """
 
 from dataclasses import dataclass, field
@@ -73,12 +75,6 @@ class AccumulatorBank:
             raise IndexError(f"cell index {v} outside 1..{(1 << self.k) - 1}")
         return self.cells[v - 1]
 
-    def replace(self, updates):
-        cells = list(self.cells)
-        for v, value in updates.items():
-            cells[v - 1] = value
-        return AccumulatorBank(k=self.k, cells=tuple(cells))
-
 
 @dataclass(frozen=True)
 class CostLedger:
@@ -132,12 +128,14 @@ def characteristic_vectors(d, include_zero=False):
     """Indicator vectors of the column patterns, keyed by pattern.
 
     Bit r of vectors[v] is 1 iff column r of the part array equals the
-    binary pattern v. Inspection/testing aid only: the multiply path never
-    materializes these.
+    binary pattern v. Each is an AND-product over the parts: part j+1
+    where bit j of v is set, its n-bit complement where it is clear
+    (Warren, Hacker's Delight, section 7-3). Inspection/testing aid only:
+    the multiply path never materializes these.
     """
-    rows = [0] * (1 << d.k)
-    for i in range(d.n):
-        rows[_column_pattern(d.parts, i)] |= 1 << i
+    rows = [(1 << d.n) - 1]
+    for p in map(BitNum.to_int, d.parts):
+        rows = [r & ~p for r in rows] + [r & p for r in rows]
     start = 0 if include_zero else 1
     return {v: BitNum._wrap(rows[v]) for v in range(start, 1 << d.k)}
 
@@ -149,7 +147,7 @@ def accumulate(A, d):
     per column; nonzero patterns receive one addition each. Returns the
     filled bank and the addition count.
     """
-    cells = {v: BitNum(0) for v in range(1, 1 << d.k)}
+    cells = [BitNum(0)] * (1 << d.k)  # indexed by pattern; cell 0 unused
     ax = A
     count = 0
     for i in range(d.n):
@@ -158,8 +156,7 @@ def accumulate(A, d):
             cells[col] = cells[col] + ax
             count += 1
         ax = ax << 1
-    bank = AccumulatorBank.zero(d.k).replace(cells)
-    return bank, count
+    return AccumulatorBank(d.k, tuple(cells[1:])), count
 
 
 def combine(bank, k):
@@ -171,13 +168,13 @@ def combine(bank, k):
     """
     if bank.k != k:
         raise ValueError(f"bank built for k = {bank.k}, combine called with {k}")
-    cells = {v: bank.cell(v) for v in range(1, 1 << k)}
+    cells = [BitNum(0), *bank.cells]  # indexed by pattern; cell 0 unused
     for i in range(k, 0, -1):
         base = 1 << (i - 1)
         for j in range(1, base):
             cells[base] = cells[base] + cells[base + j]
             cells[j] = cells[j] + cells[base + j]
-    return bank.replace(cells)
+    return AccumulatorBank(k, tuple(cells[1:]))
 
 
 def horner_assemble(bank, n, k):

@@ -19,21 +19,22 @@ _IDENT = re.compile(r"^[A-Za-z](_?[A-Za-z0-9])*$")
 M_MIN, M_MAX = 4, 4096
 K_MIN, K_MAX = 1, 8
 
-_CORRECTIONS = [
-    "part width n is (m + k - 1) / k with explicit parentheses; the",
-    "  unparenthesized legacy expression binds 1/k first and yields m + k.",
-    "multi-bit values are cleared with (OTHERS => '0') aggregates instead",
-    "  of one-bit \"0\" literals.",
-    "the reassembly step shifts by n bits per round, not by one bit.",
-    "the multiplier is zero-extended through a padded working copy BP",
-    "  instead of a reversed slice assignment into the top part.",
-    "accumulator cells are m+n bits and the product register is 2*m bits;",
-    "  the legacy widths truncate the partial products.",
-    "cleared combination cells use an ascending index range; the legacy",
-    "  descending range is null in VHDL and cleared nothing.",
-    "working values are process variables rather than signals so that",
-    "  loop-carried updates take effect within a single evaluation.",
-]
+# one tuple of header lines per numbered correction item
+_CORRECTIONS = (
+    ("part width n is (m + k - 1) / k with explicit parentheses; the",
+     "unparenthesized legacy expression binds 1/k first and yields m + k."),
+    ("multi-bit values are cleared with (OTHERS => '0') aggregates instead",
+     "of one-bit \"0\" literals."),
+    ("the reassembly step shifts by n bits per round, not by one bit.",),
+    ("the multiplier is zero-extended through a padded working copy BP",
+     "instead of a reversed slice assignment into the top part."),
+    ("accumulator cells are m+n bits and the product register is 2*m bits;",
+     "the legacy widths truncate the partial products."),
+    ("cleared combination cells use an ascending index range; the legacy",
+     "descending range is null in VHDL and cleared nothing."),
+    ("working values are process variables rather than signals so that",
+     "loop-carried updates take effect within a single evaluation."),
+)
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,10 @@ def emit(config):
     push("-- overriding the generics.")
     push("--")
     push("-- Corrections applied relative to the legacy reference listing:")
-    idx = 0
-    item = 0
-    while idx < len(_CORRECTIONS):
-        item += 1
-        push(f"--   {item}. {_CORRECTIONS[idx]}")
-        idx += 1
-        while idx < len(_CORRECTIONS) and _CORRECTIONS[idx].startswith("  "):
-            push(f"--      {_CORRECTIONS[idx].strip()}")
-            idx += 1
+    for item, (first, *rest) in enumerate(_CORRECTIONS, 1):
+        push(f"--   {item}. {first}")
+        for line in rest:
+            push(f"--      {line}")
     push("")
     push("LIBRARY IEEE;")
     push("USE IEEE.STD_LOGIC_1164.ALL;")

@@ -1,5 +1,6 @@
 """Classical and signed-digit baselines against integer oracles."""
 
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opfold import _corepy
-from opfold.bitnum import BitNum, random_bitnum
+from opfold.bitnum import BitNum, UnderflowError, random_bitnum
 from opfold.baselines import (
     SignedDigitString,
     classical_multiply,
@@ -133,6 +134,52 @@ def test_digit_string_validation():
         SignedDigitString(digits=(1, -1))
     with pytest.raises(ValueError):
         SignedDigitString(digits=(1, 0))
+
+
+def _loop_validate(digits):
+    """The per-digit validator: None if accepted, else the error message."""
+    for d in digits:
+        if d not in (-1, 0, 1):
+            return f"digit {d} outside {{-1, 0, +1}}"
+    for lo, hi in zip(digits, digits[1:]):
+        if lo != 0 and hi != 0:
+            return "adjacent nonzero digits"
+    if digits and digits[-1] == 0:
+        return "leading zero digit"
+    return None
+
+
+def _loop_decode(digits):
+    """The per-digit decode: +2**i per +1 digit, -2**i per -1 digit."""
+    pos = sum(1 << i for i, d in enumerate(digits) if d == 1)
+    neg = sum(1 << i for i, d in enumerate(digits) if d == -1)
+    return pos - neg
+
+
+def test_digit_strings_match_loops_exhaustive():
+    # every tuple over {-2..2} of length <= 6: 19531 strings
+    checked = 0
+    for length in range(7):
+        for digits in itertools.product(range(-2, 3), repeat=length):
+            expected = _loop_validate(digits)
+            try:
+                sd = SignedDigitString(digits=digits)
+            except ValueError as exc:
+                assert str(exc) == expected, digits
+                continue
+            finally:
+                checked += 1
+            assert expected is None, digits
+            assert sd.nonzero_count() == sum(1 for d in digits if d)
+            value = _loop_decode(digits)
+            if value < 0:
+                with pytest.raises(UnderflowError):
+                    sd.value()
+            else:
+                assert sd.value() == BitNum(value), digits
+    assert checked == 19531
+    with pytest.raises(UnderflowError):
+        SignedDigitString(digits=(-1,)).value()
 
 
 # --- csd_multiply ---------------------------------------------------------

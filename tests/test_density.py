@@ -282,3 +282,42 @@ def test_series_determinism_and_schema():
     with pytest.raises(ValueError):
         density_series(64, 3, 0.5, trials=0, seed=1)
     assert MODES == ("nodes-only", "full-recursive")
+
+
+# --- block samplers against the per-bit loops they replace ---------------------
+
+def _loop_bernoulli_block(b, delta, rng):
+    if b == 0:
+        return 0
+    bits = (rng.random(b) < delta).astype(np.uint8)
+    data = np.packbits(bits, bitorder="little").tobytes()
+    return int.from_bytes(data, "little")
+
+
+def _loop_exact_weight_block(b, w, rng):
+    value = 0
+    for pos in rng.choice(b, size=w, replace=False):
+        value |= 1 << int(pos)
+    return value
+
+
+@pytest.mark.parametrize("b", [0, 1, 7, 256, 1024, 4096])
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 1.0])
+def test_bernoulli_block_matches_loop_value_and_stream(b, delta):
+    ours = np.random.default_rng([b, int(delta * 10)])
+    ref = np.random.default_rng([b, int(delta * 10)])
+    for _ in range(3):
+        assert bernoulli_block(b, delta, ours).to_int() == \
+            _loop_bernoulli_block(b, delta, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("b, w", [
+    (1 << 16, 1 << 15), (4096, 2048), (17, 5), (1, 0), (8, 8), (0, 0)])
+def test_exact_weight_block_matches_loop_value_and_stream(b, w):
+    ours = np.random.default_rng([b, w])
+    ref = np.random.default_rng([b, w])
+    for _ in range(2):
+        assert exact_weight_block(b, w, ours).to_int() == \
+            _loop_exact_weight_block(b, w, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state

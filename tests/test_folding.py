@@ -141,6 +141,40 @@ def test_vectors_restore_parts(case):
         assert total == d.part(j)
 
 
+def _probe_vectors(d):
+    """The per-bit route: one probe per part and column, keyed by pattern."""
+    rows = [0] * (1 << d.k)
+    for i in range(d.n):
+        col = 0
+        for j, p in enumerate(d.parts):
+            if p.bit(i):
+                col |= 1 << j
+        rows[col] |= 1 << i
+    return {v: BitNum(r) for v, r in enumerate(rows)}
+
+
+def test_vectors_match_per_bit_probe_grid():
+    rng = random.Random(2011)
+    for m in range(1, 41):
+        seeded = (rng.getrandbits(m), rng.getrandbits(m))
+        for k in range(1, 11):
+            for b in (0, (1 << m) - 1, *seeded):
+                d = split(BitNum(b), m, k)
+                assert characteristic_vectors(d, include_zero=True) == \
+                    _probe_vectors(d), (m, k, b)
+
+
+@pytest.mark.parametrize("m, k", [(1024, 5), (4096, 8)])
+def test_vectors_match_per_bit_probe_wide(m, k):
+    rng = random.Random(m)
+    for b in (0, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m)):
+        d = split(BitNum(b), m, k)
+        assert characteristic_vectors(d, include_zero=True) == \
+            _probe_vectors(d)
+        assert characteristic_vectors(d) == {
+            v: vec for v, vec in _probe_vectors(d).items() if v}
+
+
 # --- accumulate / combine / horner_assemble -------------------------------
 
 def test_accumulate_toy_unit_multiplicand():
