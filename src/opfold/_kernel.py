@@ -1,7 +1,7 @@
 """The multiply kernel layer.
 
 A plain re-export of the int kernels in _corepy, with the NAF masks and
-the bit reader that baselines.csd_recode builds its digits from.
+the bit reader `_bit_flags` that SignedDigitString.digits is read with.
 folding.multiply and both baselines call through this module, so the
 kernel stays one layer that can be timed, traced or replaced on its own.
 """

@@ -3,7 +3,8 @@
 Both count whole-operand additions, the same unit as the folded ledger;
 a subtraction in the signed-digit path costs one unit like an addition.
 Both run in the kernel layer on host ints, like the folded multiply: the
-functions here only wrap and unwrap BitNum values.
+functions here only wrap and unwrap BitNum values. A SignedDigitString
+holds the kernel's NAF masks; from_digits and .digits are its tuple edge.
 """
 
 import operator
@@ -17,29 +18,48 @@ from .bitnum import BitNum, _from_bits
 
 @dataclass(frozen=True)
 class SignedDigitString:
-    """Digits over {-1, 0, +1}, index 0 = LSB, no two adjacent nonzero."""
+    """NAF digits as masks: bit i of plus (minus) is set iff digit i is +1
+    (-1), index 0 = LSB. Build one from a digit tuple with from_digits.
+    """
 
-    digits: tuple
+    plus: int
+    minus: int
 
     def __post_init__(self):
-        for d in self.digits:
+        if self.plus < 0 or self.minus < 0 or self.plus & self.minus:
+            raise ValueError("digit masks must be non-negative and disjoint")
+        nonzero = self.plus | self.minus
+        if nonzero & (nonzero >> 1):
+            raise ValueError("adjacent nonzero digits")
+
+    @classmethod
+    def from_digits(cls, digits):
+        """Checked string from a digit tuple, index 0 = LSB."""
+        for d in digits:
             if d not in (-1, 0, 1):
                 raise ValueError(f"digit {d} outside {{-1, 0, +1}}")
-        if b"\x01\x01" in bytes(map(bool, self.digits)):
-            raise ValueError("adjacent nonzero digits")
-        if self.digits and self.digits[-1] == 0:
+        a = np.asarray(digits)
+        result = cls(_from_bits(a == 1), _from_bits(a == -1))
+        if len(result) != len(digits):
             raise ValueError("leading zero digit")
+        return result
+
+    @property
+    def digits(self):
+        """The digit tuple, index 0 = LSB, top digit nonzero."""
+        width = len(self)
+        return tuple(map(operator.sub, _k._bit_flags(self.plus, width),
+                         _k._bit_flags(self.minus, width)))
 
     def __len__(self):
-        return len(self.digits)
+        return (self.plus | self.minus).bit_length()
 
     def nonzero_count(self):
-        return len(self.digits) - self.digits.count(0)
+        return (self.plus | self.minus).bit_count()
 
     def value(self):
         """Decode back to the unsigned value: +1 mask minus -1 mask."""
-        a = np.asarray(self.digits)
-        return BitNum(_from_bits(a == 1)) - BitNum(_from_bits(a == -1))
+        return BitNum(self.plus) - BitNum(self.minus)
 
 
 def classical_multiply(A, B):
@@ -49,17 +69,8 @@ def classical_multiply(A, B):
 
 
 def csd_recode(B):
-    """Minimal-weight signed-digit form with no adjacent nonzero digits.
-
-    The non-adjacent form read off the kernel's NAF masks: digit i is +1
-    (-1) where bit i of the plus (minus) mask is set. The top digit is
-    always +1, so the plus mask's width is the digit count.
-    """
-    plus, minus = _k.naf_masks(B.to_int())
-    width = plus.bit_length()
-    digits = map(operator.sub, _k._bit_flags(plus, width),
-                 _k._bit_flags(minus, width))
-    return SignedDigitString(digits=tuple(digits))
+    """Minimal-weight non-adjacent signed-digit form: B's kernel NAF masks."""
+    return SignedDigitString(*_k.naf_masks(B.to_int()))
 
 
 def csd_multiply(A, B):

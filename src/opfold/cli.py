@@ -98,24 +98,20 @@ def _cmd_multiply(args):
         f"shifts = {ledger.shifts} (excluded from total),"
         f" peak_cell_bits = {ledger.peak_cell_bits}",
     ]
-    _write_output("\n".join(out) + "\n", args.out)
-    return 0
+    return "\n".join(out) + "\n"
 
 
 def _cmd_trace(args):
     trace = folding.trace_multiply(*_operands(args), args.k)
-    _write_output(folding.format_trace(trace) + "\n", args.out)
-    return 0
+    return folding.format_trace(trace) + "\n"
 
 
 def _cmd_bench(args):
     m_values = _parse_range(args.m_range)
     k_values = _parse_range(args.k_range)
     rows = costmodel.sweep(m_values, k_values, args.trials, args.seed)
-    text = _render_rows(costmodel.SWEEP_COLUMNS, rows, args.format,
+    return _render_rows(costmodel.SWEEP_COLUMNS, rows, args.format,
                         "opfold-bench-v1")
-    _write_output(text, args.out)
-    return 0
 
 
 def _cmd_table(args):
@@ -127,23 +123,18 @@ def _cmd_table(args):
         "avg_form": r.avg_form(),
         "wst_form": r.wst_form(),
     } for r in costmodel.table1()]
-    text = _render_rows(columns, rows, args.format, "opfold-table-v1")
-    _write_output(text, args.out)
-    return 0
+    return _render_rows(columns, rows, args.format, "opfold-table-v1")
 
 
 def _cmd_optk(args):
     if args.m is None and args.m_range is None:
         raise ValueError("optk needs --m or --m-range")
     if args.m_range is None:
-        _write_output(f"{costmodel.optimal_k(args.m, args.k_max)}\n", args.out)
-        return 0
+        return f"{costmodel.optimal_k(args.m, args.k_max)}\n"
     columns = ("m", "optimal_k")
     rows = [{"m": m, "optimal_k": costmodel.optimal_k(m, args.k_max)}
             for m in _parse_range(args.m_range)]
-    text = _render_rows(columns, rows, args.format, "opfold-optk-v1")
-    _write_output(text, args.out)
-    return 0
+    return _render_rows(columns, rows, args.format, "opfold-optk-v1")
 
 
 def _cmd_density(args):
@@ -155,16 +146,13 @@ def _cmd_density(args):
         rows = density.density_series(
             args.b, args.depth, args.delta0, args.trials, args.seed,
             exact_weight=args.exact_weight)
-    text = _render_rows(density.SERIES_COLUMNS, rows, args.format,
+    return _render_rows(density.SERIES_COLUMNS, rows, args.format,
                         f"opfold-density-{args.series}-v1")
-    _write_output(text, args.out)
-    return 0
 
 
 def _cmd_hdl(args):
     config = hdlgen.HdlConfig(m=args.m, k=args.k, entity_name=args.entity)
-    _write_output(hdlgen.emit(config), args.out)
-    return 0
+    return hdlgen.emit(config)
 
 
 def build_parser():
@@ -249,7 +237,8 @@ def main(argv=None):
         args = _parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:  # a --seed command, flag absent
             args.seed = seed
-        return args.func(args)
+        _write_output(args.func(args), args.out)
+        return 0
     except (ValueError, UnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

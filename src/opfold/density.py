@@ -83,10 +83,7 @@ def tree_gain(delta0, b, j):
     """Expected nodes-only gain after j levels: (b/2) * (delta_0 - delta_j)."""
     if j < 0:
         raise ValueError(f"level must be >= 0, got {j}")
-    d = delta0
-    for _ in range(j):
-        d = logistic_step(d)
-    return (b / 2.0) * (delta0 - d)
+    return (b / 2.0) * (delta0 - iterates(delta0, j)[-1])
 
 
 def full_gain(delta0, b, j):
@@ -173,7 +170,8 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if b < 1 or b % (1 << depth):
+    # b & -b is b's lowest set bit: b % 2**depth without building 2**depth
+    if b < 1 or (b & -b).bit_length() <= depth:
         raise ValueError(
             f"depth {depth} exceeds log2 of the block length {b}")
     if B.bit_length() > b:
@@ -250,15 +248,15 @@ def _series(b, depth, delta0, trials, seed, mode, exact_weight, field,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    by_level = [[] for _ in range(depth + 1)]
+    walks = []
     for t in range(trials):
         rng = np.random.default_rng([seed, b, t])
         block = _sample_block(b, delta0, rng, exact_weight)
         report = simulate_tree(block, b, depth, mode)
-        for level in range(depth + 1):
-            by_level[level].append(getattr(report.levels[level], field))
+        walks.append([getattr(s, field) for s in report.levels])
     rows = []
-    for level, (samples, pred) in enumerate(zip(by_level, predict())):
+    # zip(*walks) gives each level's samples in trial order
+    for level, (samples, pred) in enumerate(zip(zip(*walks), predict())):
         mean = sum(samples) / trials
         if trials > 1:
             var = sum((s - mean) ** 2 for s in samples) / (trials - 1)

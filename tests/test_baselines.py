@@ -124,16 +124,16 @@ def test_recode_mean_count_1024():
 
 
 def test_digit_string_validation():
-    SignedDigitString(digits=())
-    SignedDigitString(digits=(1, 0, -1))
+    SignedDigitString.from_digits(())
+    SignedDigitString.from_digits((1, 0, -1))
     with pytest.raises(ValueError):
-        SignedDigitString(digits=(2,))
+        SignedDigitString.from_digits((2,))
     with pytest.raises(ValueError):
-        SignedDigitString(digits=(1, 1))
+        SignedDigitString.from_digits((1, 1))
     with pytest.raises(ValueError):
-        SignedDigitString(digits=(1, -1))
+        SignedDigitString.from_digits((1, -1))
     with pytest.raises(ValueError):
-        SignedDigitString(digits=(1, 0))
+        SignedDigitString.from_digits((1, 0))
 
 
 def _loop_validate(digits):
@@ -163,7 +163,7 @@ def test_digit_strings_match_loops_exhaustive():
         for digits in itertools.product(range(-2, 3), repeat=length):
             expected = _loop_validate(digits)
             try:
-                sd = SignedDigitString(digits=digits)
+                sd = SignedDigitString.from_digits(digits)
             except ValueError as exc:
                 assert str(exc) == expected, digits
                 continue
@@ -179,7 +179,26 @@ def test_digit_strings_match_loops_exhaustive():
                 assert sd.value() == BitNum(value), digits
     assert checked == 19531
     with pytest.raises(UnderflowError):
-        SignedDigitString(digits=(-1,)).value()
+        SignedDigitString.from_digits((-1,)).value()
+
+
+def test_digit_masks_validation():
+    for plus, minus in ((-1, 0), (0, -2), (1, 1)):
+        with pytest.raises(ValueError,
+                           match="^digit masks must be non-negative and"
+                                 " disjoint$"):
+            SignedDigitString(plus, minus)
+    with pytest.raises(ValueError, match="^adjacent nonzero digits$"):
+        SignedDigitString(3, 0)
+
+
+def test_from_digits_roundtrip_seeded():
+    rng = random.Random(300)
+    for _ in range(2000):
+        sd = csd_recode(BitNum(rng.getrandbits(rng.randrange(0, 301))))
+        again = SignedDigitString.from_digits(sd.digits)
+        assert again == sd
+        assert hash(again) == hash(sd)
 
 
 # --- csd_multiply ---------------------------------------------------------
@@ -302,6 +321,15 @@ def test_naf_masks_shape():
         assert nonzero & (nonzero >> 1) == 0
         assert nonzero.bit_count() == ((b + (b >> 1)) ^ (b >> 1)).bit_count()
 
+
+def test_recode_holds_naf_masks():
+    rng = random.Random(1960)
+    wide = [rng.getrandbits(rng.randrange(1, 4097)) for _ in range(60)]
+    wide += [b for m in (1, 2, 7, 64, 1023, 4096)
+             for b in _edge_multipliers(m)]
+    for b in [*range(4097), *wide]:
+        sd = csd_recode(BitNum(b))
+        assert (sd.plus, sd.minus) == _corepy.naf_masks(b)
 
 def test_set_bits():
     assert list(_corepy._set_bits(0)) == []

@@ -185,6 +185,13 @@ def test_density_bad_depth_exits_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_density_huge_depth_exits_2(capsys):
+    rc, out, err = run(capsys, ["density", "--depth", "1000000",
+                                "--trials", "2"])
+    assert rc == 2 and out == ""
+    assert "error: depth 1000000 exceeds log2" in err
+
+
 # --- hdl --------------------------------------------------------------------------
 
 def test_hdl_stdout_matches_emit(capsys):

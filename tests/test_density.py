@@ -1,5 +1,7 @@
 """Density recursion model and the splitting simulator that validates it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +180,32 @@ def test_simulate_tree_rejects():
         simulate_tree(TOY, 12, 2, mode="both")
     with pytest.raises(ValueError):
         simulate_tree(BitNum(1 << 13), 12, 2)
+
+
+def test_tree_depth_check_matches_modulo():
+    for b in range(1, 4097):
+        for depth in range(15):
+            try:
+                simulate_tree(BitNum(0), b, depth)
+            except ValueError as exc:
+                assert str(exc) == (
+                    f"depth {depth} exceeds log2 of the block length {b}")
+                assert b % (1 << depth) != 0
+            else:
+                assert b % (1 << depth) == 0
+
+
+def test_gain_series_huge_depth_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+                ValueError,
+                match="^depth 1000000 exceeds log2 of the block length 4096$"):
+            gain_series(4096, 10**6, 0.5, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @given(st.integers(min_value=0, max_value=5),
