@@ -18,7 +18,6 @@ from .folding import (
 )
 from .baselines import SignedDigitString, classical_multiply, csd_multiply, csd_recode
 from .costmodel import (
-    CostModelRow,
     Table1Row,
     asymptotic_ratio,
     combine_cost,
@@ -50,7 +49,7 @@ __all__ = [
     "split", "characteristic_vectors", "accumulate", "combine",
     "horner_assemble", "multiply", "trace_multiply", "format_trace",
     "SignedDigitString", "classical_multiply", "csd_recode", "csd_multiply",
-    "CostModelRow", "Table1Row", "f_avg", "f_wst", "optimal_k",
+    "Table1Row", "f_avg", "f_wst", "optimal_k",
     "asymptotic_ratio", "combine_cost", "yen_cost", "memory_bits", "table1",
     "SplitOutcome", "TreeReport", "logistic_step",
     "telescoping_sum", "split_gain", "tree_gain", "simulate_split",

@@ -1,29 +1,18 @@
 """Command-line front end: reproduction runs and CSV/table emission.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error. The default seed
-comes from the OPFOLD_SEED environment variable (0 when unset); --seed
-overrides it.
+Exit codes: 0 success, 2 validation error, 3 I/O error. Seeded commands
+take --seed (default 0).
 """
 
 import argparse
 import csv
 import functools
 import io
-import os
 import sys
 
-from . import baselines, costmodel, density, folding, hdlgen
+from . import costmodel, density, folding, hdlgen
 from ._kernel import KERNEL_NAME
 from .bitnum import BitNum, UnderflowError
-
-
-def _default_seed():
-    text = os.environ.get("OPFOLD_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"OPFOLD_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_range(text):
@@ -127,8 +116,8 @@ def _cmd_table(args):
 
 
 def _cmd_optk(args):
-    if args.m is None and args.m_range is None:
-        raise ValueError("optk needs --m or --m-range")
+    if (args.m is None) == (args.m_range is None):
+        raise ValueError("optk needs exactly one of --m and --m-range")
     if args.m_range is None:
         return f"{costmodel.optimal_k(args.m, args.k_max)}\n"
     columns = ("m", "optimal_k")
@@ -184,7 +173,7 @@ def build_parser():
     p.add_argument("--m-range", required=True, help="lo:hi[:step] or list")
     p.add_argument("--k-range", default="1:8")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -208,7 +197,7 @@ def build_parser():
     p.add_argument("--exact-weight", action="store_true",
                    help="sample blocks of exact weight round(delta0*b)")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_density)
 
@@ -230,13 +219,7 @@ def _parser():
 
 def main(argv=None):
     try:
-        # read on every call, not baked into the cached parser, so an
-        # OPFOLD_SEED change between in-process calls is honoured and a bad
-        # value fails on any subcommand
-        seed = _default_seed()
         args = _parser().parse_args(argv)
-        if getattr(args, "seed", 0) is None:  # a --seed command, flag absent
-            args.seed = seed
         _write_output(args.func(args), args.out)
         return 0
     except (ValueError, UnderflowError) as exc:

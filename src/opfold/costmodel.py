@@ -107,41 +107,8 @@ def yen_cost(k):
 def memory_bits(m, k):
     """Accumulator footprint: (2**k - 1) cells of m + ceil(m/k) bits."""
     _validate(m, k)
-    return _memory_bits(m, k)
-
-
-def _memory_bits(m, k):
-    # memory_bits without the m and k checks, for callers that ran them
     n = -(-m // k)
     return ((1 << k) - 1) * (m + n)
-
-
-@dataclass(frozen=True)
-class CostModelRow:
-    """Closed-form numbers for one (m, k) operating point."""
-
-    m: int
-    k: int
-    n: int
-    f_avg: Fraction
-    f_wst: int
-    combine_cost: int
-    yen_cost: int
-    memory_bits: int
-
-
-def row(m, k):
-    _validate(m, k)
-    return CostModelRow(
-        m=m,
-        k=k,
-        n=-(-m // k),
-        f_avg=f_avg(m, k),
-        f_wst=f_wst(m, k),
-        combine_cost=combine_cost(k),
-        yen_cost=yen_cost(k),
-        memory_bits=memory_bits(m, k),
-    )
 
 
 def crossing(k, k_next):
@@ -170,10 +137,10 @@ class Table1Row:
         return f"{float(self.wst_coeff):.3f}*m + {self.constant}"
 
 
-def table1(k_min=2, k_max=5):
-    """Optimal-degree ranges derived from the affine crossings."""
+def table1():
+    """Optimal-degree ranges for k = 2..5, derived from the affine crossings."""
     rows = []
-    for k in range(k_min, k_max + 1):
+    for k in range(2, 6):
         lo = crossing(k - 1, k)
         hi = crossing(k, k + 1)
         m_lo = int(lo) if lo.denominator == 1 else ceil(lo)
@@ -197,6 +164,7 @@ def measure_mean(m, k, trials, seed):
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    folding._validate_multiply(m, k)  # before any operand is drawn
     total = 0
     total_sq = 0
     for t in range(trials):

@@ -23,16 +23,13 @@ from . import _kernel as _k
 from . import costmodel
 from .bitnum import BitNum
 
-# accumulator cell key: int in 1 .. 2**k - 1, bit j-1 set means part j has
-# a 1 in the column
-CharacteristicIndex = int
-
 # multiply and trace_multiply refuse a degree whose accumulator bank would
 # outgrow BANK_BUDGET_BITS (16 MiB). A cell is charged its width m + ceil(m/k)
 # (the costmodel.memory_bits footprint) plus CELL_OVERHEAD_BITS for the list
 # slot and int object the host keeps per cell, which dominates at small m.
 # No m admits a degree above K_CEILING: its 2**k - 1 cells alone outnumber
-# the budget's bits. multiply and costmodel.optimal_k test it before 1 << k.
+# the budget's bits. _validate_multiply and costmodel.optimal_k test it
+# before 1 << k.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512
 K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
@@ -84,8 +81,8 @@ class CostLedger:
     accumulate_adds: int
     combine_adds: int
     horner_adds: int
-    shifts: int = 0
-    peak_cell_bits: int = 0
+    shifts: int
+    peak_cell_bits: int
 
     @property
     def total(self):
@@ -186,16 +183,14 @@ def horner_assemble(bank, n, k):
 
 
 def bank_bits(m, k):
-    """Host footprint of the 2**k - 1 accumulator cells, in bits.
-
-    Unchecked: callers pass m, k >= 1 (multiply runs _check first).
-    """
+    """Host footprint of the 2**k - 1 accumulator cells, in bits."""
     overhead = ((1 << k) - 1) * CELL_OVERHEAD_BITS
-    return costmodel._memory_bits(m, k) + overhead
+    return costmodel.memory_bits(m, k) + overhead
 
 
-def _validate_multiply(A, B, m, k):
-    _check(m, k, ("multiplicand", A), ("multiplier", B))
+def _validate_multiply(m, k, *named):
+    """_check, then the bank budget; k > K_CEILING fails before any 1 << k."""
+    _check(m, k, *named)
     if k > K_CEILING or bank_bits(m, k) > BANK_BUDGET_BITS:
         raise ValueError(
             f"k = {k} at m = {m} needs an accumulator bank over the budget "
@@ -208,7 +203,7 @@ def multiply(A, B, m, k):
     Returns (product, ledger). For k = 1 the path degenerates to classical
     accumulate-and-add and the ledger is (weight(B), 0, 0).
     """
-    _validate_multiply(A, B, m, k)
+    _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     product, acc, comb, horn, shifts, peak = _k.fold_multiply(
         A.to_int(), B.to_int(), m, k)
     ledger = CostLedger(
@@ -233,13 +228,13 @@ class MultiplyTrace:
     vectors: dict = field(repr=False)
     bank_accumulated: AccumulatorBank = field(repr=False)
     bank_combined: AccumulatorBank = field(repr=False)
-    product: BitNum = BitNum(0)
-    ledger: CostLedger = CostLedger(0, 0, 0)
+    product: BitNum
+    ledger: CostLedger
 
 
 def trace_multiply(A, B, m, k):
     """Run the phased reference path, snapshotting every stage."""
-    _validate_multiply(A, B, m, k)
+    _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     d = _split(B, m, k)
     vectors = characteristic_vectors(d)
     bank_acc, acc_count = accumulate(A, d)

@@ -63,10 +63,13 @@ def test_multiply_unparsable_operand_exits_2(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("command", ["multiply", "trace"])
-def test_over_bank_budget_exits_2(command, capsys):
-    rc, out, err = run(capsys, [
-        command, "--a", "1", "--b", "1", "--m", "4096", "--k", "24"])
+@pytest.mark.parametrize("argv", [
+    ["multiply", "--a", "1", "--b", "1", "--m", "4096", "--k", "24"],
+    ["trace", "--a", "1", "--b", "1", "--m", "4096", "--k", "24"],
+    ["bench", "--m-range", str(1 << 27), "--k-range", "5", "--trials", "1"],
+], ids=["multiply", "trace", "bench"])
+def test_over_bank_budget_exits_2(argv, capsys):
+    rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "budget" in err
 
@@ -149,6 +152,12 @@ def test_optk_requires_m_or_range(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_optk_with_both_m_and_range_exits_2(capsys):
+    rc, out, err = run(capsys, ["optk", "--m", "1024", "--m-range", "1:3"])
+    assert rc == 2 and out == ""
+    assert err == "error: optk needs exactly one of --m and --m-range\n"
+
+
 def test_optk_k_max_over_the_degree_ceiling_exits_2(capsys):
     rc, out, err = run(capsys, ["optk", "--m", "1024",
                                 "--k-max", "1000000000"])
@@ -224,13 +233,6 @@ def test_out_path_io_failure_exits_3(tmp_path, capsys):
 
 # --- seeding ---------------------------------------------------------------------
 
-def test_env_seed_not_an_integer_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("OPFOLD_SEED", "abc")
-    rc, out, err = run(capsys, ["table"])
-    assert rc == 2 and out == ""
-    assert err.startswith("error:") and "OPFOLD_SEED" in err
-
-
 def test_main_reuses_one_parser(monkeypatch, capsys):
     built = []
 
@@ -259,15 +261,12 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert unseeded == fresh_unseeded != first
 
 
-def test_env_seed_default(monkeypatch, capsys):
+def test_default_seed_is_zero(capsys):
     argv = ["bench", "--m-range", "64", "--k-range", "2", "--trials", "20"]
-    monkeypatch.setenv("OPFOLD_SEED", "9")
-    rc, out_env, _ = run(capsys, argv)
-    assert rc == 0
-    monkeypatch.delenv("OPFOLD_SEED")
     rc, out_default, _ = run(capsys, argv)
     assert rc == 0
-    rc, out_explicit, _ = run(capsys, argv + ["--seed", "9"])
+    rc, out_zero, _ = run(capsys, argv + ["--seed", "0"])
     assert rc == 0
-    assert out_env == out_explicit
-    assert out_env != out_default
+    rc, out_nine, _ = run(capsys, argv + ["--seed", "9"])
+    assert rc == 0
+    assert out_default == out_zero != out_nine

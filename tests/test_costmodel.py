@@ -1,5 +1,6 @@
 """Closed-form cost model: frozen values, boundaries, and Monte Carlo checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from opfold.costmodel import (
     memory_bits,
     optimal_k,
     phase_constant,
-    row,
     sweep,
     table1,
     yen_cost,
@@ -185,15 +185,6 @@ def test_memory_bits():
     assert memory_bits(1024, 5) == 38099
 
 
-def test_row_bundle():
-    r = row(1024, 5)
-    assert (r.m, r.k, r.n) == (1024, 5, 205)
-    assert r.f_avg == Fraction(8147, 32)
-    assert r.f_wst == 261
-    assert (r.combine_cost, r.yen_cost) == (52, 75)
-    assert r.memory_bits == 38099
-
-
 # --- operating-range table rendering -----------------------------------------
 
 def test_table1_forms():
@@ -236,6 +227,19 @@ def test_measured_mean_matches_padded_expectation():
 
 def test_measure_mean_deterministic():
     assert measure_mean(64, 3, 25, seed=9) == measure_mean(64, 3, 25, seed=9)
+
+
+def test_measure_mean_checks_the_bank_before_drawing():
+    # m = 2**27 at k = 5 is over the bank budget; drawing its two operands
+    # first would peak near 100 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the budget"):
+            measure_mean(1 << 27, 5, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
-"""The command-line examples in README.md, run and checked line by line."""
+"""The examples in README.md: CLI lines run and checked line by line, and
+every python block run."""
 
 import re
 import shlex
@@ -11,12 +12,16 @@ from opfold import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                      re.MULTILINE | re.DOTALL)
+
+
 def _examples():
     """(command, expected lines, prefix only) per `opfold ...` line of the
     README's text blocks; a block that ends in `...` shows a prefix."""
     out = []
-    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(),
-                            re.MULTILINE | re.DOTALL):
+    for block in _blocks("text"):
         lines = block.splitlines()
         truncated = lines[-1] == "..."
         if truncated:
@@ -42,11 +47,17 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("command, shown, prefix", EXAMPLES,
                          ids=[e[0] for e in EXAMPLES])
-def test_readme_example(command, shown, prefix, capsys, monkeypatch):
-    monkeypatch.delenv("OPFOLD_SEED", raising=False)
+def test_readme_example(command, shown, prefix, capsys):
     rc = cli.main(shlex.split(command)[1:])
     printed = capsys.readouterr().out.splitlines()
     assert rc == 0
     if prefix:
         printed = printed[:len(shown)]
     assert printed == shown
+
+
+def test_readme_python_blocks_run():
+    blocks = _blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
