@@ -15,8 +15,15 @@ from ._kernel import KERNEL_NAME
 from .bitnum import BitNum, UnderflowError
 
 
+# Most points one --m-range or --k-range may list; every point is a row.
+MAX_GRID_POINTS = 4096
+
+
 def _parse_range(text):
-    """"lo:hi[:step]" (inclusive) or a comma list; returns ints."""
+    """"lo:hi[:step]" (inclusive) as a range, or a comma list of ints.
+
+    Either form is refused past MAX_GRID_POINTS before any point runs.
+    """
     if ":" in text:
         fields = text.split(":")
         if len(fields) not in (2, 3):
@@ -25,10 +32,14 @@ def _parse_range(text):
         step = int(fields[2]) if len(fields) == 3 else 1
         if step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
-        return list(range(lo, hi + 1, step))
-    values = [int(f) for f in text.split(",") if f.strip() != ""]
-    if not values:
-        raise ValueError(f"empty range {text!r}")
+        values = range(lo, hi + 1, step)
+    else:
+        values = [int(f) for f in text.split(",") if f.strip() != ""]
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+    if len(values) > MAX_GRID_POINTS:
+        raise ValueError(f"range {text!r} has {len(values)} points, more "
+                         f"than the cap of {MAX_GRID_POINTS}")
     return values
 
 

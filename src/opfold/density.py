@@ -7,8 +7,9 @@ d**2). Extracting the shared block saves its weight once per lineage that
 reuses it, and the lineage densities follow the logistic map
 d <- d*(1-d).
 
-`simulate_tree` walks the binary lineage frontier and reports per-level
-gain in two accountings:
+`simulate_tree` walks the binary lineage frontier, held as one b-bit int
+whose blocks are its contiguous slices, and reports per-level gain in two
+accountings:
 
 - "nodes-only": each shared block is harvested once; it still costs its
   own weight to process, so cumulative gain approaches (b/2)*d0.
@@ -27,6 +28,10 @@ import numpy as np
 from .bitnum import BitNum, _from_bits
 
 MODES = ("nodes-only", "full-recursive")
+
+# Largest block the samplers draw: bernoulli_block holds 9 bytes per bit
+# (a float64 draw and a bool), so 2**24 bits is about 150 MB.
+MAX_BLOCK_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,15 @@ def full_gain(delta0, b, j):
     return 2.0 * tree_gain(delta0, b, j)
 
 
-def _halve(v, half):
-    """Halve-AND-XOR of an int block: (hi ^ shared, lo ^ shared, shared).
+def _unshare(v, half, mask):
+    """Halve-AND-XOR of every 2*half-bit block of v: (rest, shared).
 
-    shared = hi & lo holds the columns where both halves are 1, so the three
-    results are the k=2 characteristic vectors of the halves (patterns 2, 1
-    and 3).
+    mask holds each block's low half. Per block, shared (in the low half)
+    and rest's high and low halves are the k=2 characteristic vectors of
+    the halves (patterns 3, 2 and 1).
     """
-    lo = v & ((1 << half) - 1)
-    hi = v >> half
-    shared = hi & lo
-    return hi ^ shared, lo ^ shared, shared
+    shared = v & (v >> half) & mask
+    return v ^ (shared | shared << half), shared
 
 
 def simulate_split(parent, b):
@@ -116,7 +119,9 @@ def simulate_split(parent, b):
         raise ValueError(
             f"block has {parent.bit_length()} bits, exceeds b = {b}")
     half = b // 2
-    b10, b01, b11 = _halve(parent.to_int(), half)
+    mask = (1 << half) - 1
+    rest, b11 = _unshare(parent.to_int(), half, mask)
+    b10, b01 = rest >> half, rest & mask
     return SplitOutcome(
         b10=BitNum._wrap(b10),
         b01=BitNum._wrap(b01),
@@ -161,10 +166,13 @@ class TreeReport:
 def simulate_tree(B, b, depth, mode="nodes-only"):
     """Split B recursively for `depth` levels and account the gains.
 
-    Level r holds 2**r lineage blocks of b/2**r bits. Each level's
-    harvested weight is the summed weight of the shared blocks produced by
-    splitting the previous frontier, counted once (nodes-only) or twice
-    (full-recursive); residual = initial - cumulative gain, exactly.
+    Level r holds 2**r lineage blocks of b/2**r bits as the slices of one
+    int, halved all at once by _unshare. Its mask, the low half of every
+    block, starts as the low b/2 bits; mask ^= mask << half (the next
+    level's half) derives the next one, as the repeating block masks of
+    Warren, Hacker's Delight, sections 5-1 and 7-1. A level's harvested
+    weight is the popcount of its shared blocks, counted once (nodes-only)
+    or twice (full-recursive); residual = initial - cumulative gain.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -178,8 +186,9 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
         raise ValueError(f"input has {B.bit_length()} bits, exceeds b = {b}")
     factor = 1 if mode == "nodes-only" else 2
     w0 = B.weight()
-    frontier = [B.to_int()]
-    size = b
+    frontier = B.to_int()
+    half = b // 2
+    mask = (1 << half) - 1
     cumulative = 0
     levels = [LevelStats(
         level=0,
@@ -190,19 +199,10 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
         frontier_density=w0 / b,
     )]
     for level in range(1, depth + 1):
-        half = size // 2
-        harvested = 0
-        frontier_weight = 0
-        children = []
-        for v in frontier:
-            c_hi, c_lo, shared = _halve(v, half)
-            harvested += shared.bit_count()
-            frontier_weight += c_hi.bit_count() + c_lo.bit_count()
-            children.append(c_hi)
-            children.append(c_lo)
+        frontier, shared = _unshare(frontier, half, mask)
+        harvested = shared.bit_count()
         cumulative += factor * harvested
-        frontier = children
-        size = half
+        frontier_weight = frontier.bit_count()
         levels.append(LevelStats(
             level=level,
             harvested=harvested,
@@ -211,14 +211,24 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
             frontier_weight=frontier_weight,
             frontier_density=frontier_weight / b,
         ))
+        half //= 2
+        mask ^= mask << half
     return TreeReport(
         mode=mode, b=b, depth=depth, initial_weight=w0, levels=tuple(levels))
+
+
+def _check_budget(b):
+    """Refuse a block over MAX_BLOCK_BITS before anything is drawn."""
+    if b > MAX_BLOCK_BITS:
+        raise ValueError(f"block length {b} exceeds the sampling budget of "
+                         f"{MAX_BLOCK_BITS} bits")
 
 
 def bernoulli_block(b, delta, rng):
     """Random b-bit block with independent Bernoulli(delta) bits."""
     if b < 0:
         raise ValueError(f"block length must be >= 0, got {b}")
+    _check_budget(b)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"density {delta} outside [0, 1]")
     return BitNum._wrap(_from_bits(rng.random(b) < delta))
@@ -226,6 +236,7 @@ def bernoulli_block(b, delta, rng):
 
 def exact_weight_block(b, w, rng):
     """Random b-bit block with exactly w set bits (variance reduction)."""
+    _check_budget(b)
     if not 0 <= w <= b:
         raise ValueError(f"weight {w} outside 0..{b}")
     bits = np.zeros(b, bool)

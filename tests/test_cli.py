@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, seeding."""
 
+import tracemalloc
+
 import pytest
 
 from opfold import cli
@@ -112,6 +114,45 @@ def test_bench_bad_range_exits_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_parse_range_is_lazy_and_capped():
+    assert cli._parse_range("1:5:2") == range(1, 6, 2)
+    assert cli._parse_range("3,,5") == [3, 5]
+    top = cli.MAX_GRID_POINTS
+    assert len(cli._parse_range(f"1:{top}")) == top
+    assert len(cli._parse_range(",".join(["7"] * top))) == top
+    for text in (f"1:{top + 1}", f"0:{2 * top}:2",
+                 ",".join(["7"] * (top + 1))):
+        with pytest.raises(ValueError, match=f"more than the cap of {top}$"):
+            cli._parse_range(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--m-range", "1:1000000000", "--trials", "1"],
+    ["bench", "--m-range", "16", "--k-range", "1:1000000000"],
+    ["optk", "--m-range", "1:1000000000"],
+], ids=["bench-m", "bench-k", "optk"])
+def test_grid_over_point_cap_exits_2_before_running(argv, capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err == (f"error: range '1:1000000000' has 1000000000 points, "
+                   f"more than the cap of {cli.MAX_GRID_POINTS}\n")
+    assert peak < 2**20
+
+
+def test_comma_grid_over_point_cap_exits_2(capsys):
+    points = ",".join(["16"] * (cli.MAX_GRID_POINTS + 1))
+    for argv in (["bench", "--m-range", points, "--trials", "1"],
+                 ["optk", "--m-range", points]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: range '16,16,") and "cap" in err
+
+
 # --- table / optk ----------------------------------------------------------------
 
 def test_table_pretty_default(capsys):
@@ -199,6 +240,16 @@ def test_density_huge_depth_exits_2(capsys):
                                 "--trials", "2"])
     assert rc == 2 and out == ""
     assert "error: depth 1000000 exceeds log2" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--exact-weight"]],
+                         ids=["bernoulli", "exact-weight"])
+def test_density_block_over_budget_exits_2(flags, capsys):
+    rc, out, err = run(capsys, ["density", "--b", "1000000000000000",
+                                "--depth", "1", "--trials", "1"] + flags)
+    assert rc == 2 and out == ""
+    assert err == ("error: block length 1000000000000000 exceeds the "
+                   "sampling budget of 16777216 bits\n")
 
 
 # --- hdl --------------------------------------------------------------------------

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from opfold.bitnum import BitNum, random_bitnum
 from opfold.density import (
+    MAX_BLOCK_BITS,
     MODES,
     SERIES_COLUMNS,
+    LevelStats,
+    TreeReport,
     bernoulli_block,
     density_series,
     exact_weight_block,
@@ -349,3 +352,104 @@ def test_exact_weight_block_matches_loop_value_and_stream(b, w):
         assert exact_weight_block(b, w, ours).to_int() == \
             _loop_exact_weight_block(b, w, ref)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_samplers_refuse_blocks_over_budget_before_drawing():
+    for sample in (lambda rng: bernoulli_block(MAX_BLOCK_BITS + 1, 0.5, rng),
+                   lambda rng: exact_weight_block(MAX_BLOCK_BITS + 1, 1, rng),
+                   lambda rng: exact_weight_block(10**15, 10**14, rng)):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="exceeds the sampling budget"):
+            sample(rng)
+        assert rng.bit_generator.state == state
+    # the largest block the tests, README and bench draw fits
+    assert MAX_BLOCK_BITS >= 1 << 20
+
+
+# --- tree walk and split against the per-block loop they replace -------------
+
+def _loop_halve(v, half):
+    lo = v & ((1 << half) - 1)
+    hi = v >> half
+    shared = hi & lo
+    return hi ^ shared, lo ^ shared, shared
+
+
+def _loop_tree(B, b, depth, mode="nodes-only"):
+    factor = 1 if mode == "nodes-only" else 2
+    w0 = B.weight()
+    frontier = [B.to_int()]
+    size = b
+    cumulative = 0
+    levels = [LevelStats(0, 0, 0, w0, w0, w0 / b)]
+    for level in range(1, depth + 1):
+        half = size // 2
+        harvested = 0
+        frontier_weight = 0
+        children = []
+        for v in frontier:
+            c_hi, c_lo, shared = _loop_halve(v, half)
+            harvested += shared.bit_count()
+            frontier_weight += c_hi.bit_count() + c_lo.bit_count()
+            children.append(c_hi)
+            children.append(c_lo)
+        cumulative += factor * harvested
+        frontier = children
+        size = half
+        levels.append(LevelStats(level, harvested, cumulative, w0 - cumulative,
+                                 frontier_weight, frontier_weight / b))
+    return TreeReport(mode, b, depth, w0, tuple(levels))
+
+
+WALK_WIDTHS = [2, 6, 12, 64, 96, 4096, 1 << 16]
+
+
+def _walk_blocks(b):
+    rng = np.random.default_rng([17, b])
+    return {"zero": BitNum(0), "ones": BitNum((1 << b) - 1),
+            "seeded": bernoulli_block(b, 0.5, rng),
+            "sparse": bernoulli_block(b, 0.1, rng)}
+
+
+@pytest.mark.parametrize("b", WALK_WIDTHS)
+@pytest.mark.parametrize("mode", MODES)
+def test_tree_matches_block_loop(b, mode):
+    top = (b & -b).bit_length() - 1  # deepest legal depth
+    for kind, block in _walk_blocks(b).items():
+        for depth in range(top + 1):
+            # dataclass equality: every LevelStats field, initial_weight,
+            # and so gain and residual
+            assert simulate_tree(block, b, depth, mode) == _loop_tree(
+                block, b, depth, mode), (kind, depth)
+
+
+@pytest.mark.parametrize("b", WALK_WIDTHS)
+def test_split_matches_halve_loop(b):
+    half = b // 2
+    for kind, parent in _walk_blocks(b).items():
+        out = simulate_split(parent, b)
+        want = _loop_halve(parent.to_int(), half)
+        assert (out.b10.to_int(), out.b01.to_int(), out.b11.to_int()) == want
+        assert (out.density10, out.density01, out.density11) == tuple(
+            c.bit_count() / half for c in want), kind
+
+
+def test_deep_tree_walk_is_small_and_matches_loop():
+    b, depth = 1 << 20, 20
+    dense = bernoulli_block(b, 0.5, np.random.default_rng([3, b]))
+    small = bernoulli_block(1 << 16, 0.5, np.random.default_rng([3, 1 << 16]))
+    # walked as a 2**20-bit block, the 2**16-bit one sits in the low bits:
+    # the first four splits share nothing, then the walk is the 2**16 walk
+    tracemalloc.start()
+    try:
+        full = simulate_tree(dense, b, depth, "full-recursive")
+        deep = simulate_tree(small, b, depth, "full-recursive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert full.residual == full.levels[-1].frontier_weight
+    ref = _loop_tree(small, 1 << 16, 16, "full-recursive")
+    assert deep.gain == ref.gain
+    assert deep.levels[-1].frontier_weight == ref.levels[-1].frontier_weight
