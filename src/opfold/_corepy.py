@@ -44,6 +44,12 @@ def _set_bits(x):
     return compress(count(), _bit_flags(x, x.bit_length()))
 
 
+def from_int(x):
+    """x itself: both kernel lanes take host ints, so an operand needs no
+    conversion before it is passed to either lane."""
+    return x
+
+
 def naf_masks(b):
     """Non-adjacent form of b >= 0 as two masks; returns (plus, minus).
 

@@ -163,6 +163,20 @@ class TreeReport:
         return self.levels[-1].residual_weight
 
 
+def _check_walk(b, depth, mode):
+    """The walk's arguments: a known mode, b >= 1 and 2**depth dividing b."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if b < 1:
+        raise ValueError(f"block length must be >= 1, got {b}")
+    # b & -b is b's lowest set bit: b % 2**depth without building 2**depth
+    if (b & -b).bit_length() <= depth:
+        raise ValueError(
+            f"depth {depth} exceeds log2 of the block length {b}")
+
+
 def simulate_tree(B, b, depth, mode="nodes-only"):
     """Split B recursively for `depth` levels and account the gains.
 
@@ -174,14 +188,7 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
     weight is the popcount of its shared blocks, counted once (nodes-only)
     or twice (full-recursive); residual = initial - cumulative gain.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    # b & -b is b's lowest set bit: b % 2**depth without building 2**depth
-    if b < 1 or (b & -b).bit_length() <= depth:
-        raise ValueError(
-            f"depth {depth} exceeds log2 of the block length {b}")
+    _check_walk(b, depth, mode)
     if B.bit_length() > b:
         raise ValueError(f"input has {B.bit_length()} bits, exceeds b = {b}")
     factor = 1 if mode == "nodes-only" else 2
@@ -255,8 +262,10 @@ def _series(b, depth, delta0, trials, seed, mode, exact_weight, field,
     """Per-level mean and stderr of one LevelStats field over seeded trials.
 
     Trial t walks a block drawn from default_rng([seed, b, t]); predict()
-    gives the closed-form value per level once the trials have run.
+    gives the closed-form value per level once the trials have run. The
+    walk's arguments are checked before the first draw.
     """
+    _check_walk(b, depth, mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     walks = []

@@ -16,9 +16,10 @@ def pytest_runtest_makereport(item, call):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _acceptance_results:
-        return
+    from opfold import _kernel
     terminalreporter.section("acceptance criteria")
+    terminalreporter.write_line(
+        f"kernel lane: {_kernel.KERNEL_NAME} ({_kernel.KERNEL_REASON})")
     for doc, passed in _acceptance_results:
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[{verdict}] {doc}")

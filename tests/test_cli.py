@@ -242,6 +242,24 @@ def test_density_huge_depth_exits_2(capsys):
     assert "error: depth 1000000 exceeds log2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--b", "1048576", "--depth", "21", "--trials", "1"],
+     "depth 21 exceeds log2 of the block length 1048576"),
+    (["--b", "-4"], "block length must be >= 1, got -4"),
+    (["--b", "0", "--depth", "0"], "block length must be >= 1, got 0"),
+], ids=["deep", "negative", "zero"])
+def test_density_bad_walk_exits_2_before_drawing(argv, message, capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, ["density"] + argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("flags", [[], ["--exact-weight"]],
                          ids=["bernoulli", "exact-weight"])
 def test_density_block_over_budget_exits_2(flags, capsys):

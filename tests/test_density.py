@@ -183,6 +183,10 @@ def test_simulate_tree_rejects():
         simulate_tree(TOY, 12, 2, mode="both")
     with pytest.raises(ValueError):
         simulate_tree(BitNum(1 << 13), 12, 2)
+    for b in (0, -4):
+        with pytest.raises(ValueError,
+                           match=f"^block length must be >= 1, got {b}$"):
+            simulate_tree(BitNum(0), b, 0)
 
 
 def test_tree_depth_check_matches_modulo():
