@@ -1,5 +1,6 @@
 """Builds the optional compiled kernel lane: python3 setup.py build_ext --inplace"""
 
-from setuptools import Extension, setup
+from setuptools import Extension, find_packages, setup
 
-setup(ext_modules=[Extension("opfold._corec", ["src/opfold/_corec.c"])])
+setup(package_dir={"": "src"}, packages=find_packages("src"),
+      ext_modules=[Extension("opfold._corec", ["src/opfold/_corec.c"])])

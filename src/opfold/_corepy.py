@@ -10,11 +10,12 @@ how they read the multiplier b:
   adds `a << i` once per set bit.
 - csd_multiply recodes b into its non-adjacent form (`naf_masks`), adds
   `a << i` for every +1 digit and then subtracts it for every -1 digit.
-- fold_multiply reads b's bits into the column indices of the k x n part
-  array with one numpy call. numpy never sees the multiplicand and never
-  forms a product or a cell: every counted addition is one int `+`, of a
-  shifted multiplicand into a cell (accumulate) or of two cells (combine,
-  Horner).
+- fold_multiply reads b's bits into the column patterns of the k x n part
+  array with one numpy call, then adds `a << i` into the cell that column
+  i's pattern names, once per nonzero column i. numpy never sees the
+  multiplicand and never forms a product or a cell: every counted addition
+  is one int `+`, of a shifted multiplicand into a cell (accumulate) or of
+  two cells (combine, Horner).
 
 Reading the multiplier (bit positions, NAF masks, column indices) is
 recoding, not counted work.
@@ -46,7 +47,9 @@ def _set_bits(x):
 
 def from_int(x):
     """x itself: both kernel lanes take host ints, so an operand needs no
-    conversion before it is passed to either lane."""
+    conversion before it is passed to either lane. Its only caller is
+    check_lane_parity in bench/run.py, so it can go only together with
+    that call."""
     return x
 
 
@@ -98,10 +101,8 @@ def fold_multiply(a, b, m, k):
         count=k * n, bitorder="little").reshape(k, n)
     patterns = ((1 << np.arange(k)) @ bits).tolist()
     cells = [0] * (1 << k)
-    for col in patterns:
-        if col:
-            cells[col] += a
-        a <<= 1
+    for i, col in compress(enumerate(patterns), patterns):
+        cells[col] += a << i
     acc_adds = n - patterns.count(0)
     shifts = n
     comb_adds = 0

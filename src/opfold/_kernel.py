@@ -7,6 +7,15 @@ fold_multiply comes from the compiled lane `_corec` when it is built
 KERNEL_NAME names the lane and KERNEL_REASON says why it was chosen.
 folding.multiply and both baselines call through this module, so the
 kernel stays one layer that can be timed, traced or replaced on its own.
+
+Both lanes run one schedule: accumulate adds A shifted to column i's
+offset into the cell that column's pattern names, once per nonzero
+column; combine and Horner follow. On either lane fold_multiply(a, b,
+m, k) returns (product, accumulate_adds, combine_adds, horner_adds,
+shifts, peak_cell_bits): after the product come folding.CostLedger's
+fields in declared order, and folding.multiply builds the ledger from
+them positionally. shifts is the model's n column shifts plus k - 1
+Horner shifts.
 """
 
 from . import _corepy

@@ -25,20 +25,21 @@ from .bitnum import random_bitnums
 DEFAULT_K_MAX = 8
 
 
-# the package's only m and k checks; folding.split and multiply call them too
-def _check_m(m):
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-
-
 def _check_k(k):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _validate(m, k):
-    _check_m(m)
+def _check(m, k, *operands):
+    """The package's one (m, k) check, which folding calls too: k and m at
+    least 1, then each (name, operand) at most m bits wide."""
     _check_k(k)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    for name, x in operands:
+        if x.bit_length() > m:
+            raise ValueError(
+                f"{name} has {x.bit_length()} bits, exceeds m = {m}")
 
 
 def phase_constant(k):
@@ -48,20 +49,20 @@ def phase_constant(k):
 
 def f_avg(m, k):
     """Expected additions for uniform random operands, exact rational."""
-    _validate(m, k)
+    _check(m, k)
     n = -(-m // k)
     return Fraction((1 << k) - 1, 1 << k) * n + phase_constant(k)
 
 
 def f_wst(m, k):
     """Worst-case additions (all multiplier bits set)."""
-    _validate(m, k)
+    _check(m, k)
     return -(-m // k) + phase_constant(k)
 
 
 def affine_avg(m, k):
     """Ceiling-free average form m*(2**k - 1)/(k*2**k) + constant."""
-    _validate(m, k)
+    _check(m, k)
     return Fraction(m * ((1 << k) - 1), k << k) + phase_constant(k)
 
 
@@ -70,7 +71,7 @@ def optimal_k(m, k_max=DEFAULT_K_MAX):
 
     k_max may not pass folding.K_CEILING, the degree no bank budget admits.
     """
-    _validate(m, k_max)
+    _check(m, k_max)
     if k_max > folding.K_CEILING:
         raise ValueError(
             f"k_max = {k_max} exceeds {folding.K_CEILING}, the largest degree "
@@ -106,7 +107,7 @@ def yen_cost(k):
 
 def memory_bits(m, k):
     """Accumulator footprint: (2**k - 1) cells of m + ceil(m/k) bits."""
-    _validate(m, k)
+    _check(m, k)
     n = -(-m // k)
     return ((1 << k) - 1) * (m + n)
 

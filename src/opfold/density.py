@@ -225,7 +225,9 @@ def simulate_tree(B, b, depth, mode="nodes-only"):
 
 
 def _check_budget(b):
-    """Refuse a block over MAX_BLOCK_BITS before anything is drawn."""
+    """Refuse a block length outside 0..MAX_BLOCK_BITS before any draw."""
+    if b < 0:
+        raise ValueError(f"block length must be >= 0, got {b}")
     if b > MAX_BLOCK_BITS:
         raise ValueError(f"block length {b} exceeds the sampling budget of "
                          f"{MAX_BLOCK_BITS} bits")
@@ -233,8 +235,6 @@ def _check_budget(b):
 
 def bernoulli_block(b, delta, rng):
     """Random b-bit block with independent Bernoulli(delta) bits."""
-    if b < 0:
-        raise ValueError(f"block length must be >= 0, got {b}")
     _check_budget(b)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"density {delta} outside [0, 1]")

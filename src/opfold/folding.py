@@ -30,6 +30,12 @@ from .bitnum import BitNum
 # No m admits a degree above K_CEILING: its 2**k - 1 cells alone outnumber
 # the budget's bits. _validate_multiply and costmodel.optimal_k test it
 # before 1 << k.
+# The budget charges the 2**k - 1 cells only, nothing per column. Peak RSS
+# of one multiply above a fresh process's start (ru_maxrss, 2-CPU x86-64,
+# A all ones, every cell filled): compiled lane 166 MB at k = 1, m = 2**24
+# (charged 4.2 MB), mostly 32 pre-shifted copies of A in 64-bit lanes, and
+# 56 MB at k = 5, m = 3,000,000 (charged 14 MB); pure lane 272 MB and 31 MB,
+# the first mostly its per-column pattern array and list.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512
 K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
@@ -89,19 +95,9 @@ class CostLedger:
         return self.accumulate_adds + self.combine_adds + self.horner_adds
 
 
-def _check(m, k, *named):
-    """k and m at least 1, then each (name, operand) at most m bits wide."""
-    costmodel._check_k(k)
-    costmodel._check_m(m)
-    for name, x in named:
-        if x.bit_length() > m:
-            raise ValueError(
-                f"{name} has {x.bit_length()} bits, exceeds m = {m}")
-
-
 def split(B, m, k):
     """Split B into k parts of n = ceil(m/k) bits, B_k holding the pad."""
-    _check(m, k, ("operand", B))
+    costmodel._check(m, k, ("operand", B))
     return _split(B, m, k)
 
 
@@ -188,9 +184,9 @@ def bank_bits(m, k):
     return costmodel.memory_bits(m, k) + overhead
 
 
-def _validate_multiply(m, k, *named):
-    """_check, then the bank budget; k > K_CEILING fails before any 1 << k."""
-    _check(m, k, *named)
+def _validate_multiply(m, k, *operands):
+    """costmodel._check, then the bank budget, k > K_CEILING before 1 << k."""
+    costmodel._check(m, k, *operands)
     if k > K_CEILING or bank_bits(m, k) > BANK_BUDGET_BITS:
         raise ValueError(
             f"k = {k} at m = {m} needs an accumulator bank over the budget "
@@ -204,16 +200,8 @@ def multiply(A, B, m, k):
     accumulate-and-add and the ledger is (weight(B), 0, 0).
     """
     _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
-    product, acc, comb, horn, shifts, peak = _k.fold_multiply(
-        A.to_int(), B.to_int(), m, k)
-    ledger = CostLedger(
-        accumulate_adds=acc,
-        combine_adds=comb,
-        horner_adds=horn,
-        shifts=shifts,
-        peak_cell_bits=peak,
-    )
-    return BitNum._wrap(product), ledger
+    product, *counts = _k.fold_multiply(A.to_int(), B.to_int(), m, k)
+    return BitNum._wrap(product), CostLedger(*counts)
 
 
 @dataclass(frozen=True)
@@ -243,13 +231,8 @@ def trace_multiply(A, B, m, k):
     peak = max(
         (bank_comb.cell(v).bit_length() for v in range(1, 1 << k)),
         default=0)
-    ledger = CostLedger(
-        accumulate_adds=acc_count,
-        combine_adds=costmodel.combine_cost(k),
-        horner_adds=k - 1,
-        shifts=d.n + k - 1,
-        peak_cell_bits=peak,
-    )
+    ledger = CostLedger(acc_count, costmodel.combine_cost(k), k - 1,
+                        d.n + k - 1, peak)
     return MultiplyTrace(
         a=A, b=B, m=m, k=k,
         decomposition=d,

@@ -199,6 +199,12 @@ def test_optk_with_both_m_and_range_exits_2(capsys):
     assert err == "error: optk needs exactly one of --m and --m-range\n"
 
 
+def test_optk_names_k_max_before_m(capsys):
+    rc, out, err = run(capsys, ["optk", "--m", "0", "--k-max", "0"])
+    assert rc == 2 and out == ""
+    assert err == "error: k must be >= 1, got 0\n"
+
+
 def test_optk_k_max_over_the_degree_ceiling_exits_2(capsys):
     rc, out, err = run(capsys, ["optk", "--m", "1024",
                                 "--k-max", "1000000000"])

@@ -371,6 +371,17 @@ def test_samplers_refuse_blocks_over_budget_before_drawing():
     assert MAX_BLOCK_BITS >= 1 << 20
 
 
+def test_samplers_refuse_negative_blocks_before_drawing():
+    for sample in (lambda rng: bernoulli_block(-4, 0.5, rng),
+                   lambda rng: exact_weight_block(-4, 0, rng)):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            sample(rng)
+        assert str(info.value) == "block length must be >= 0, got -4"
+        assert rng.bit_generator.state == state
+
+
 # --- tree walk and split against the per-block loop they replace -------------
 
 def _loop_halve(v, half):

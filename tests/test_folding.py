@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opfold.bitnum import BitNum
-from opfold.costmodel import combine_cost, f_wst, memory_bits
+from opfold.costmodel import combine_cost, f_avg, f_wst, memory_bits, optimal_k
 from opfold.folding import (
     BANK_BUDGET_BITS,
     CELL_OVERHEAD_BITS,
@@ -78,6 +78,11 @@ def test_split_rejects():
      "multiplicand has 9 bits, exceeds m = 8"),
     (lambda: trace_multiply(BitNum(1), BitNum(256), 8, 2),
      "multiplier has 9 bits, exceeds m = 8"),
+    # every entry point names k first when both m and k are bad
+    (lambda: f_avg(0, 0), "k must be >= 1, got 0"),
+    (lambda: memory_bits(0, 0), "k must be >= 1, got 0"),
+    (lambda: optimal_k(0, 0), "k must be >= 1, got 0"),
+    (lambda: bank_bits(0, 0), "k must be >= 1, got 0"),
 ])
 def test_input_check_messages(call, message):
     with pytest.raises(ValueError) as info:

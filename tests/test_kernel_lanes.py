@@ -9,6 +9,7 @@ import importlib.util
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,8 +47,13 @@ def test_lanes_agree_small_grid(corec):
     for m in range(1, 65):
         ones = (1 << m) - 1
         for k in range(1, 11):
+            n = -(-m // k)
+            # one set bit at the bottom and at the top of each part
+            sparse = [1 << bit for j in range(k) if j * n < m
+                      for bit in (j * n, min(j * n + n, m) - 1)]
             for a, b in ((0, 0), (ones, 0), (0, ones), (ones, ones),
-                         (rng.getrandbits(m), rng.getrandbits(m))):
+                         (rng.getrandbits(m), rng.getrandbits(m)),
+                         *((ones, s) for s in sparse)):
                 _check(corec, a, b, m, k)
 
 
@@ -57,6 +63,15 @@ def test_lanes_agree_random_wide(corec):
         m = rng.randint(1, 4096)
         _check(corec, rng.getrandbits(m), rng.getrandbits(m), m,
                rng.randint(1, 10))
+
+
+def test_pure_lane_sparse_multiplier_is_linear_in_m():
+    # one set column of 2**20: a per-column shift of A would take seconds
+    start = time.perf_counter()
+    result = _corepy.fold_multiply(1, 1, 1 << 20, 1)
+    elapsed = time.perf_counter() - start
+    assert result == (1, 1, 0, 0, 1 << 20, 1)
+    assert elapsed < 2.0
 
 
 def test_compiled_lane_degree_ceiling_is_the_model_ceiling(corec):
