@@ -1,4 +1,5 @@
-/* Compiled lane of the fused folded multiply: _corepy.fold_multiply in C.
+/* Compiled lane of the kernel layer: _corepy.fold_multiply and
+   _corepy.seeded_bits in C.
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
    runs the same schedule, so products and ledgers are identical.
@@ -15,7 +16,28 @@
 
    Every cell holds a sum of distinct accumulate terms, so it stays below
    A * 2**n and fits len(A) + ceil(n / 32) limbs, and each of its lanes
-   sums at most n limbs, which fits 64 bits for m < 2**32. */
+   sums at most n limbs, which fits 64 bits for m < 2**32.
+
+   seeded_bits(entropy, m, count) returns the values
+   random_bitnums(m, numpy.random.default_rng(entropy), count) holds, bit
+   for bit, without building a Generator. The stream is numpy's own
+   (numpy/random/bit_generator.pyx, numpy/random/src/pcg64):
+   - SeedSequence: each entropy entry, a non-negative int, is split into
+     32-bit words lowest first (0 is one zero word). The first 4 words are
+     hashed into a 4-word pool (zero words pad a shorter entropy), every
+     pool word is mixed with the hash of every other one, and each later
+     word is hashed and mixed into every pool word. generate_state hashes
+     the pool, cycled, into 8 words: 4 little-endian uint64 s0..s3. The
+     hashmix/mix constants are those of O'Neill's seed_seq_fe.
+   - PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+     Statistically Good Algorithms for Random Number Generation", 2014):
+     a 128-bit LCG with inc = (s2 << 64 | s3) << 1 | 1, seeded as state =
+     0, step, state += s0 << 64 | s1, step. Each output steps the state
+     and returns its XSL-RR permutation: high half XOR low half, rotated
+     right by the state's top 6 bits.
+   Generator.bytes keeps the little-endian bytes of those outputs, so
+   value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
+   and all values are cut from one buffer. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -28,6 +50,22 @@
 typedef uint64_t lane;
 
 #define LIMB_MASK 0xFFFFFFFFu
+
+static uint32_t
+load_le32(const unsigned char *p)
+{
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16
+           | (uint32_t)p[3] << 24;
+}
+
+static void
+store_le32(unsigned char *p, uint32_t x)
+{
+    p[0] = (unsigned char)x;
+    p[1] = (unsigned char)(x >> 8);
+    p[2] = (unsigned char)(x >> 16);
+    p[3] = (unsigned char)(x >> 24);
+}
 
 /* dst[0 .. len) += src[0 .. len), lane by lane */
 static void
@@ -179,11 +217,8 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
                 (uint32_t)((b_bytes[pos / 8] >> (pos % 8)) & 1) << j;
     }
 
-    for (size_t t = 0; t < la; t++) {
-        const unsigned char *p = a_bytes + 4 * t;
-        copies[t] = (lane)p[0] | (lane)p[1] << 8 | (lane)p[2] << 16
-                    | (lane)p[3] << 24;
-    }
+    for (size_t t = 0; t < la; t++)
+        copies[t] = load_le32(a_bytes + 4 * t);
     for (size_t s = 1; s < ncopies; s++)
         shift_into(copies + s * (la + 1), copies, la, (unsigned)s);
     Py_ssize_t acc_adds = 0;
@@ -224,13 +259,8 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
         add_lanes(prod + off / 32, shifted, cell_len + 1);
     }
     resolve(prod, prod_len);
-    for (size_t t = 0; t < prod_len; t++) {
-        unsigned char *p = prod_bytes + 4 * t;
-        p[0] = (unsigned char)prod[t];
-        p[1] = (unsigned char)(prod[t] >> 8);
-        p[2] = (unsigned char)(prod[t] >> 16);
-        p[3] = (unsigned char)(prod[t] >> 24);
-    }
+    for (size_t t = 0; t < prod_len; t++)
+        store_le32(prod_bytes + 4 * t, (uint32_t)prod[t]);
     PyObject *product = _PyLong_FromByteArray(prod_bytes, 4 * prod_len, 1, 0);
     if (product)
         result = Py_BuildValue("(Nnnnnn)", product, acc_adds, comb_adds,
@@ -240,19 +270,240 @@ done:
     return result;
 }
 
+/* numpy's SeedSequence: pool size and hash constants */
+#define POOL_SIZE 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+/* PCG's default 128-bit LCG multiplier */
+#define PCG_MULT_HI UINT64_C(0x2360ed051fc65da4)
+#define PCG_MULT_LO UINT64_C(0x4385df649fccf645)
+
+typedef struct {
+    uint32_t pool[POOL_SIZE];
+    uint32_t hash;  /* hashmix's running constant, from INIT_A */
+    size_t fed;     /* entropy words mixed in so far */
+} seed_seq;
+
+static uint32_t
+hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t
+mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ r >> 16;
+}
+
+/* Mix the next entropy word into the pool */
+static void
+feed(seed_seq *s, uint32_t word)
+{
+    if (s->fed < POOL_SIZE) {
+        s->pool[s->fed] = hashmix(word, &s->hash);
+        if (s->fed + 1 == POOL_SIZE)
+            for (int src = 0; src < POOL_SIZE; src++)
+                for (int dst = 0; dst < POOL_SIZE; dst++)
+                    if (src != dst)
+                        s->pool[dst] = mix(s->pool[dst],
+                                           hashmix(s->pool[src], &s->hash));
+    }
+    else {
+        for (int dst = 0; dst < POOL_SIZE; dst++)
+            s->pool[dst] = mix(s->pool[dst], hashmix(word, &s->hash));
+    }
+    s->fed++;
+}
+
+/* Feed one entropy entry as 32-bit words, lowest first: 0 with the entry
+   fed, -1 with an exception set unless it is a non-negative int */
+static int
+feed_entry(seed_seq *s, PyObject *entry)
+{
+    PyObject *x = PyNumber_Index(entry);
+    if (!x)
+        return -1;
+    int rc = -1;
+    unsigned char small[16], *bytes = small;
+    size_t bits = _PyLong_Sign(x) < 0 ? (size_t)-1 : _PyLong_NumBits(x);
+    if (bits == (size_t)-1) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError,
+                         "entropy entries must be >= 0, got %R", x);
+        goto done;
+    }
+    size_t words = bits ? (bits + 31) / 32 : 1;
+    if (4 * words > sizeof small && !(bytes = PyMem_Malloc(4 * words))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_bytes(x, bytes, 4 * words) == 0) {
+        for (size_t t = 0; t < words; t++)
+            feed(s, load_le32(bytes + 4 * t));
+        rc = 0;
+    }
+    if (bytes != small)
+        PyMem_Free(bytes);
+done:
+    Py_DECREF(x);
+    return rc;
+}
+
+typedef struct {
+    uint64_t hi, lo;
+} u128;
+
+/* x * y as a 128-bit value */
+static u128
+mul_wide(uint64_t x, uint64_t y)
+{
+    uint64_t x0 = x & LIMB_MASK, x1 = x >> 32;
+    uint64_t y0 = y & LIMB_MASK, y1 = y >> 32;
+    uint64_t p00 = x0 * y0, p01 = x0 * y1, p10 = x1 * y0;
+    uint64_t mid = (p00 >> 32) + (p01 & LIMB_MASK) + (p10 & LIMB_MASK);
+    return (u128){x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32),
+                  mid << 32 | (p00 & LIMB_MASK)};
+}
+
+/* *x += y mod 2**128 */
+static void
+add_wide(u128 *x, u128 y)
+{
+    x->lo += y.lo;
+    x->hi += y.hi + (x->lo < y.lo);
+}
+
+/* One LCG step: state = state * multiplier + inc mod 2**128 */
+static void
+pcg_step(u128 *state, u128 inc)
+{
+    u128 next = mul_wide(state->lo, PCG_MULT_LO);
+    next.hi += state->hi * PCG_MULT_LO + state->lo * PCG_MULT_HI;
+    add_wide(&next, inc);
+    *state = next;
+}
+
+/* Step, then the XSL-RR output of the new state */
+static uint64_t
+pcg_next(u128 *state, u128 inc)
+{
+    pcg_step(state, inc);
+    uint64_t x = state->hi ^ state->lo;
+    unsigned rot = (unsigned)(state->hi >> 58);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* PCG64 seeded from the pool as SeedSequence.generate_state(4, uint64) */
+static void
+pcg_seed(const seed_seq *s, u128 *state, u128 *inc)
+{
+    uint32_t hash = INIT_B;
+    uint64_t w[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = s->pool[i % POOL_SIZE] ^ hash;
+        hash *= MULT_B;
+        v *= hash;
+        w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
+    }
+    *inc = (u128){w[2] << 1 | w[3] >> 63, w[3] << 1 | 1};
+    *state = (u128){0, 0};
+    pcg_step(state, *inc);
+    add_wide(state, (u128){w[0], w[1]});
+    pcg_step(state, *inc);
+}
+
+static PyObject *
+seeded_bits(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *entropy;
+    Py_ssize_t m, count;
+    if (!PyArg_ParseTuple(args, "Onn:seeded_bits", &entropy, &m, &count))
+        return NULL;
+    seed_seq s = {.hash = INIT_A};
+    if (PySequence_Check(entropy)) {
+        PyObject *seq = PySequence_Fast(entropy, "entropy must be a sequence");
+        if (!seq)
+            return NULL;
+        int rc = 0;
+        for (Py_ssize_t i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq);
+             i++)
+            rc = feed_entry(&s, PySequence_Fast_GET_ITEM(seq, i));
+        Py_DECREF(seq);
+        if (rc < 0)
+            return NULL;
+    }
+    else if (feed_entry(&s, entropy) < 0)
+        return NULL;
+    while (s.fed < POOL_SIZE)
+        feed(&s, 0);
+    if (m < 0 || count < 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %zd",
+                     m < 0 ? "m" : "count", m < 0 ? m : count);
+        return NULL;
+    }
+
+    size_t nbytes = ((size_t)m + 7) / 8;
+    size_t stride = ((size_t)m + 31) / 32 * 4;
+    size_t total = 7;  /* rounds the draw up to whole 64-bit outputs */
+    if (reserve(&total, (size_t)count, stride) < 0)
+        return PyErr_NoMemory();
+    total -= total % 8;
+    unsigned char *data = malloc(total ? total : 1);
+    if (!data)
+        return PyErr_NoMemory();
+    PyObject *result = PyTuple_New(count);
+    if (result) {
+        u128 state, inc;
+        pcg_seed(&s, &state, &inc);
+        for (size_t t = 0; t < total; t += 8) {
+            uint64_t x = pcg_next(&state, inc);
+            store_le32(data + t, (uint32_t)x);
+            store_le32(data + t + 4, (uint32_t)(x >> 32));
+        }
+    }
+    for (Py_ssize_t i = 0; result && i < count; i++) {
+        unsigned char *v = data + (size_t)i * stride;
+        if (m % 8)
+            v[nbytes - 1] &= (1u << m % 8) - 1;
+        PyObject *x = _PyLong_FromByteArray(v, nbytes, 1, 0);
+        if (x)
+            PyTuple_SET_ITEM(result, i, x);
+        else
+            Py_CLEAR(result);
+    }
+    free(data);
+    return result;
+}
+
 static PyMethodDef corec_methods[] = {
     {"fold_multiply", fold_multiply, METH_VARARGS,
      "fold_multiply(a, b, m, k)\n--\n\n"
      "Fused folded multiply of ints 0 <= a, b < 2**m with 1 <= k <= 27.\n"
      "Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,\n"
      "peak_cell_bits), as _corepy.fold_multiply does."},
+    {"seeded_bits", seeded_bits, METH_VARARGS,
+     "seeded_bits(entropy, m, count)\n--\n\n"
+     "count ints of m uniform bits from numpy's SeedSequence/PCG64 stream\n"
+     "for entropy, an int or a sequence of ints >= 0, as\n"
+     "_corepy.seeded_bits returns them."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_corec",
-    .m_doc = "Compiled lane of the fused folded multiply kernel.",
+    .m_doc = "Compiled lane of the kernel layer: fold_multiply and "
+             "seeded_bits.",
     .m_size = -1,
     .m_methods = corec_methods,
 };

@@ -19,6 +19,10 @@ how they read the multiplier b:
 
 Reading the multiplier (bit positions, NAF masks, column indices) is
 recoding, not counted work.
+
+draw_bits holds the one rule that cuts m-bit operands from a numpy
+Generator's bytes; seeded_bits applies it to a fresh default_rng, and is
+the pure-lane twin of _corec.seeded_bits.
 """
 
 import operator
@@ -43,6 +47,35 @@ def _bit_flags(x, width):
 def _set_bits(x):
     """Iterator over the positions of the set bits of x >= 0, lowest first."""
     return compress(count(), _bit_flags(x, x.bit_length()))
+
+
+def draw_bits(rng, m, count):
+    """`count` ints of m uniform bits each, from one draw of numpy Generator
+    rng; equal to `count` successive m-bit draws, leaving rng as they would.
+
+    Generator.bytes(nb) draws ceil(nb/4) uint32 words and keeps the first nb
+    of their little-endian bytes, so value i is cut from the i-th run of
+    ceil(m/32) words and masked to m bits.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    nbytes = (m + 7) // 8
+    stride = 4 * ((m + 31) // 32)
+    size = count * stride
+    if not size:  # no bits to draw, and Generator.bytes(0) still draws a word
+        return (0,) * count
+    data = rng.bytes(size)
+    mask = (1 << m) - 1
+    return tuple(int.from_bytes(data[i:i + nbytes], "little") & mask
+                 for i in range(0, size, stride))
+
+
+def seeded_bits(entropy, m, count):
+    """draw_bits from a fresh np.random.default_rng(entropy): the numpy
+    route of the stream that _corec.seeded_bits reproduces."""
+    return draw_bits(np.random.default_rng(entropy), m, count)
 
 
 def from_int(x):

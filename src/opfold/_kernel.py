@@ -1,12 +1,19 @@
 """The multiply kernel layer.
 
-Re-exports the int kernels of _corepy, with the NAF masks and the bit
-reader `_bit_flags` that SignedDigitString.digits is read with.
-fold_multiply comes from the compiled lane `_corec` when it is built
-(`python3 setup.py build_ext --inplace`) and from _corepy otherwise;
-KERNEL_NAME names the lane and KERNEL_REASON says why it was chosen.
-folding.multiply and both baselines call through this module, so the
-kernel stays one layer that can be timed, traced or replaced on its own.
+Re-exports the int kernels of _corepy, with the NAF masks, the bit
+reader `_bit_flags` that SignedDigitString.digits is read with, and
+draw_bits, which cuts m-bit values from a caller's numpy Generator.
+fold_multiply and seeded_bits come from the compiled lane `_corec` when
+it is built (`python3 setup.py build_ext --inplace`) and from _corepy
+otherwise, both from one lane; KERNEL_NAME names the lane and
+KERNEL_REASON says why it was chosen. folding.multiply and both
+baselines call through this module, so the kernel stays one layer that
+can be timed, traced or replaced on its own.
+
+seeded_bits(entropy, m, count) gives the values
+draw_bits(np.random.default_rng(entropy), m, count) gives. The pure lane
+builds that Generator; the compiled lane runs numpy's SeedSequence and
+PCG64 in C and builds none, and its values are the same bit for bit.
 
 Both lanes run one schedule: accumulate adds A shifted to column i's
 offset into the cell that column's pattern names, once per nonzero
@@ -19,12 +26,13 @@ Horner shifts.
 """
 
 from . import _corepy
-from ._corepy import _bit_flags, classical_multiply, csd_multiply, naf_masks
+from ._corepy import (_bit_flags, classical_multiply, csd_multiply,
+                      draw_bits, naf_masks)
 
 try:
-    from ._corec import fold_multiply
+    from ._corec import fold_multiply, seeded_bits
 except ImportError as exc:
-    fold_multiply = _corepy.fold_multiply
+    from ._corepy import fold_multiply, seeded_bits
     KERNEL_NAME = _corepy.KERNEL_NAME
     KERNEL_REASON = f"compiled lane not importable: {exc}"
 else:
@@ -32,4 +40,5 @@ else:
     KERNEL_REASON = "opfold._corec is built"
 
 __all__ = ["KERNEL_NAME", "KERNEL_REASON", "classical_multiply",
-           "csd_multiply", "fold_multiply", "naf_masks"]
+           "csd_multiply", "draw_bits", "fold_multiply", "naf_masks",
+           "seeded_bits"]

@@ -10,6 +10,8 @@ against native `*` still compare two independent routes.
 
 import numpy as np
 
+from . import _kernel as _k
+
 
 class UnderflowError(ArithmeticError):
     """Subtraction result would be negative."""
@@ -157,29 +159,24 @@ class BitNum:
 def random_bitnums(m, rng_seed, count):
     """`count` uniform values over m independent bits, from one draw.
 
-    Equal to `count` successive random_bitnum(m, rng) calls on the same
-    generator, and leaves it in the same state: Generator.bytes(nb) draws
-    ceil(nb/4) uint32 words and keeps the first nb of their little-endian
-    bytes, so value i is cut from the i-th run of ceil(nb/4) words.
+    From a numpy Generator, equal to `count` successive random_bitnum(m,
+    rng) calls on it, and leaves it in the same state (_kernel.draw_bits).
+    Any other rng_seed is entropy for np.random.default_rng, and the values
+    are the ones a fresh default_rng(rng_seed) gives: _kernel.seeded_bits
+    builds that Generator on the pure lane and reproduces its stream in C,
+    without one, on the compiled lane.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return (BitNum(0),) * count
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    nbytes = (m + 7) // 8
-    stride = 4 * ((nbytes + 3) // 4)
-    data = rng.bytes(count * stride)
-    mask = (1 << m) - 1
-    return tuple(
-        BitNum._wrap(int.from_bytes(data[i:i + nbytes], "little") & mask)
-        for i in range(0, count * stride, stride))
+    if isinstance(rng_seed, np.random.Generator):
+        values = _k.draw_bits(rng_seed, m, count)
+    else:
+        values = _k.seeded_bits(rng_seed, m, count)
+    return tuple(map(BitNum._wrap, values))
 
 
 def random_bitnum(m, rng_seed):
     """Uniform value over m independent bits; deterministic per seed.
 
-    rng_seed may be an int, a seed sequence list, or a numpy Generator.
+    rng_seed may be a non-negative int, a sequence of them, or a numpy
+    Generator.
     """
     return random_bitnums(m, rng_seed, 1)[0]

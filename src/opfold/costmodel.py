@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-import numpy as np
-
+from . import _kernel as _k
 from . import folding
-from .bitnum import random_bitnums
+from .bitnum import BitNum
 
 DEFAULT_K_MAX = 8
 
@@ -160,17 +159,21 @@ def table1():
 def measure_mean(m, k, trials, seed):
     """Sample mean/stderr of measured ledger totals over random operands.
 
-    Per-trial generators are spawned as default_rng([seed, m, k, trial]),
-    so results are independent of trial ordering and batch size.
+    Trial t multiplies the two m-bit values _kernel.seeded_bits draws for
+    entropy (seed, m, k, t), the pair a fresh default_rng([seed, m, k, t])
+    gives on both kernel lanes, so results are independent of trial
+    ordering and batch size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     folding._validate_multiply(m, k)  # before any operand is drawn
     total = 0
     total_sq = 0
     for t in range(trials):
-        a, b = random_bitnums(m, np.random.default_rng([seed, m, k, t]), 2)
-        _, ledger = folding.multiply(a, b, m, k)
+        a, b = _k.seeded_bits((seed, m, k, t), m, 2)
+        _, ledger = folding.multiply(BitNum._wrap(a), BitNum._wrap(b), m, k)
         total += ledger.total
         total_sq += ledger.total * ledger.total
     mean = total / trials

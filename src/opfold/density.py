@@ -268,6 +268,8 @@ def _series(b, depth, delta0, trials, seed, mode, exact_weight, field,
     _check_walk(b, depth, mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     walks = []
     for t in range(trials):
         rng = np.random.default_rng([seed, b, t])

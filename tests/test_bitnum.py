@@ -159,6 +159,28 @@ def test_ordering_against_other_types_raises_type_error(op, other):
         op(other, BitNum(1))
 
 
+@given(values, values)
+@example(0, 0)
+def test_xor_matches_oracle(x, y):
+    assert (BitNum(x) ^ BitNum(y)).to_int() == x ^ y
+
+
+def test_xor_with_non_bitnum_raises_type_error():
+    with pytest.raises(TypeError):
+        BitNum(5) ^ 3
+
+
+@given(values)
+def test_int_roundtrip(x):
+    assert int(BitNum(x)) == x
+    assert BitNum(int(BitNum(x))) == BitNum(x)
+
+
+def test_repr_is_binary():
+    assert repr(BitNum(0b1011)) == "BitNum(0b1011)"
+    assert repr(BitNum(0)) == "BitNum(0b0)"
+
+
 def test_random_bitnum_deterministic():
     assert random_bitnum(64, 99) == random_bitnum(64, 99)
     assert random_bitnum(0, 1) == BitNum(0)
@@ -174,6 +196,8 @@ def test_random_bitnums_pair_equals_two_random_bitnum_calls(m):
         second = random_bitnum(m, rng_one)
         rng_pair = np.random.default_rng([3, m, t])
         assert random_bitnums(m, rng_pair, 2) == (first, second)
+        # entropy in place of a Generator draws from a fresh one
+        assert random_bitnums(m, [3, m, t], 2) == (first, second)
         # the generator is left where the two single draws leave it
         assert rng_pair.integers(1 << 62) == rng_one.integers(1 << 62)
         # and both match one Generator.bytes call per value

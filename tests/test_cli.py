@@ -336,6 +336,16 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert unseeded == fresh_unseeded != first
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--m-range", "16", "--trials", "2", "--seed", "-1"],
+    ["density", "--b", "64", "--depth", "2", "--trials", "2", "--seed", "-1"],
+], ids=["bench", "density"])
+def test_negative_seed_exits_2_naming_the_seed(argv, capsys):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_default_seed_is_zero(capsys):
     argv = ["bench", "--m-range", "64", "--k-range", "2", "--trials", "20"]
     rc, out_default, _ = run(capsys, argv)
