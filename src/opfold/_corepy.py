@@ -1,24 +1,15 @@
-"""Instrumented shift-and-add multiply kernels over non-negative host ints.
+"""The instrumented fold kernel over non-negative host ints.
 
-Each kernel reads its multiplier and builds the product from additions (or
-subtractions) of shifted copies of the multiplicand, and counts them.
+fold_multiply reads the multiplier b's bits into the column patterns of
+the k x n part array with one numpy call, then adds `a << i` into the
+cell that column i's pattern names, once per nonzero column i, and
+combines the cells. numpy never sees the multiplicand and never forms a
+product or a cell: every counted addition is one int `+`, of a shifted
+multiplicand into a cell (accumulate) or of two cells (combine, Horner).
 The product never comes from native `*`, so tests that check it against
-`a * b` still compare two independent routes. The three kernels differ in
-how they read the multiplier b:
-
-- classical_multiply takes the set-bit positions of b (`_set_bits`) and
-  adds `a << i` once per set bit.
-- csd_multiply recodes b into its non-adjacent form (`naf_masks`), adds
-  `a << i` for every +1 digit and then subtracts it for every -1 digit.
-- fold_multiply reads b's bits into the column patterns of the k x n part
-  array with one numpy call, then adds `a << i` into the cell that column
-  i's pattern names, once per nonzero column i. numpy never sees the
-  multiplicand and never forms a product or a cell: every counted addition
-  is one int `+`, of a shifted multiplicand into a cell (accumulate) or of
-  two cells (combine, Horner).
-
-Reading the multiplier (bit positions, NAF masks, column indices) is
-recoding, not counted work.
+`a * b` still compare two independent routes. Reading the multiplier
+(column patterns, NAF masks) is recoding, not counted work. At k = 1 the
+fold is the classical baseline: one cell, one addition per set bit of b.
 
 draw_bits holds the one rule that cuts m-bit operands from a numpy
 Generator's bytes; seeded_bits applies it to a fresh default_rng, and is
@@ -26,8 +17,8 @@ the pure-lane twin of _corec.seeded_bits.
 """
 
 import operator
-from functools import reduce
-from itertools import compress, count
+from collections.abc import Sequence
+from itertools import compress
 
 import numpy as np
 
@@ -42,11 +33,6 @@ def _bit_flags(x, width):
     # slice drops it again
     return format(x | 1 << width, "b")[:0:-1].encode("ascii").translate(
         _BIT_FLAGS)
-
-
-def _set_bits(x):
-    """Iterator over the positions of the set bits of x >= 0, lowest first."""
-    return compress(count(), _bit_flags(x, x.bit_length()))
 
 
 def draw_bits(rng, m, count):
@@ -74,7 +60,13 @@ def draw_bits(rng, m, count):
 
 def seeded_bits(entropy, m, count):
     """draw_bits from a fresh np.random.default_rng(entropy): the numpy
-    route of the stream that _corec.seeded_bits reproduces."""
+    route of the stream that _corec.seeded_bits reproduces. Like _corec,
+    it takes one operator.index entry or a sequence of them, and refuses
+    None, nested sequences and string entries, which numpy would take."""
+    if isinstance(entropy, (Sequence, np.ndarray)):
+        entropy = list(map(operator.index, entropy))
+    else:
+        entropy = operator.index(entropy)
     return draw_bits(np.random.default_rng(entropy), m, count)
 
 
@@ -97,27 +89,6 @@ def naf_masks(b):
     t = b + half
     d = half ^ t
     return t & d, half & d
-
-
-def classical_multiply(a, b):
-    """Shift-and-add product of two ints; returns (product, add count).
-
-    One addition of `a << i` per set bit i of b.
-    """
-    return sum(map(a.__lshift__, _set_bits(b))), b.bit_count()
-
-
-def csd_multiply(a, b):
-    """Signed-digit product of two ints; returns (product, add count).
-
-    One addition of `a << i` per +1 NAF digit of b, then one subtraction
-    per -1 digit. Every + term goes in before any - term, so the running
-    value never drops below a * b >= 0.
-    """
-    plus, minus = naf_masks(b)
-    p = sum(map(a.__lshift__, _set_bits(plus)))
-    p = reduce(operator.sub, map(a.__lshift__, _set_bits(minus)), p)
-    return p, plus.bit_count() + minus.bit_count()
 
 
 def fold_multiply(a, b, m, k):
@@ -155,3 +126,10 @@ def fold_multiply(a, b, m, k):
         shifts += 1
         horner_adds += 1
     return p, acc_adds, comb_adds, horner_adds, shifts, peak
+
+
+def classical_multiply(a, b):
+    """_kernel.classical_multiply on the pure lane. Outside the tests its
+    only caller is check_lane_parity in bench/run.py, so it can go only
+    together with that call."""
+    return fold_multiply(a, b, max(a.bit_length(), b.bit_length(), 1), 1)[:2]

@@ -1,8 +1,8 @@
 """Reference multipliers: classical shift-and-add and signed-digit recoding.
 
-Both count whole-operand additions, the same unit as the folded ledger;
-a subtraction in the signed-digit path costs one unit like an addition.
-Both run in the kernel layer on host ints, like the folded multiply: the
+Both count whole-operand additions, the same unit as the folded ledger,
+and both are the fold kernel at k = 1 (see _kernel); the one subtraction
+that joins signed-digit's +1 and -1 products is not counted. The
 functions here only wrap and unwrap BitNum values. A SignedDigitString
 holds the kernel's NAF masks; from_digits and .digits are its tuple edge.
 """
@@ -74,11 +74,11 @@ def csd_recode(B):
 
 
 def csd_multiply(A, B):
-    """Shift-add/shift-subtract product over the NAF of B.
+    """Signed-digit product over the NAF of B.
 
-    Count = nonzero NAF digits; a subtraction costs one unit like an
-    addition. The kernel adds every +1 digit's term before it subtracts
-    any -1 digit's term, so the running value never underflows.
+    Count = nonzero NAF digits: the +1 digits' terms accumulate in one
+    sum and the -1 digits' terms in another, and one uncounted
+    subtraction joins them, so the result never underflows.
     """
     product, count = _k.csd_multiply(A.to_int(), B.to_int())
     return BitNum._wrap(product), count

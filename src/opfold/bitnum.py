@@ -161,10 +161,10 @@ def random_bitnums(m, rng_seed, count):
 
     From a numpy Generator, equal to `count` successive random_bitnum(m,
     rng) calls on it, and leaves it in the same state (_kernel.draw_bits).
-    Any other rng_seed is entropy for np.random.default_rng, and the values
-    are the ones a fresh default_rng(rng_seed) gives: _kernel.seeded_bits
-    builds that Generator on the pure lane and reproduces its stream in C,
-    without one, on the compiled lane.
+    Any other rng_seed is entropy, a non-negative int or a sequence of
+    them, and the values are the ones a fresh default_rng(rng_seed) gives:
+    _kernel.seeded_bits builds that Generator on the pure lane and
+    reproduces its stream in C, without one, on the compiled lane.
     """
     if isinstance(rng_seed, np.random.Generator):
         values = _k.draw_bits(rng_seed, m, count)

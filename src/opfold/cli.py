@@ -141,7 +141,9 @@ def _cmd_density(args):
     if args.series == "gain":
         rows = density.gain_series(
             args.b, args.depth, args.delta0, args.trials, args.seed,
-            mode=args.mode, exact_weight=args.exact_weight)
+            mode=args.mode or "nodes-only", exact_weight=args.exact_weight)
+    elif args.mode is not None:
+        raise ValueError("--mode applies only to --series gain")
     else:
         rows = density.density_series(
             args.b, args.depth, args.delta0, args.trials, args.seed,
@@ -204,7 +206,7 @@ def build_parser():
     p.add_argument("--b", type=int, default=4096, help="block length")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--delta0", type=float, default=0.5)
-    p.add_argument("--mode", choices=density.MODES, default="nodes-only")
+    p.add_argument("--mode", choices=density.MODES)
     p.add_argument("--exact-weight", action="store_true",
                    help="sample blocks of exact weight round(delta0*b)")
     p.add_argument("--trials", type=int, default=100)

@@ -235,6 +235,15 @@ def test_density_density_series(capsys):
     assert out.splitlines()[0] == "# schema: opfold-density-density-v1"
 
 
+@pytest.mark.parametrize("mode", ["nodes-only", "full-recursive"])
+def test_density_series_refuses_mode(mode, capsys):
+    rc, out, err = run(capsys, [
+        "density", "--series", "density", "--mode", mode, "--b", "64",
+        "--depth", "2", "--trials", "4"])
+    assert rc == 2 and out == ""
+    assert err == "error: --mode applies only to --series gain\n"
+
+
 def test_density_bad_depth_exits_2(capsys):
     rc, _, err = run(capsys, ["density", "--b", "12", "--depth", "3",
                               "--trials", "2"])

@@ -158,3 +158,50 @@ def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
                  for k in range(1, 9)], measure_mean(1024, 5, 1000, 2))
 
     assert means(corec) == means(_corepy)
+
+
+def _baseline_cases():
+    rng = random.Random(1959)
+    ones = [(1 << m) - 1 for m in (1, 2, 63, 64, 65, 1024)]
+    # 0b11...1 = 0b100...0 - 1: the plus mask is one bit wider than b
+    cases = [(0, 0), (0xDEADBEEF, 0b101), (0b101, 0xDEADBEEF),
+             *zip(ones, ones), (1, 0b11), (1, 0b111), (3, (1 << 64) - 1)]
+    for _ in range(500):
+        m = rng.randint(1, 4096)
+        cases.append((rng.getrandbits(m), rng.getrandbits(m)))
+    return cases
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_baselines_on_both_lanes(lane, request, monkeypatch):
+    fold = request.getfixturevalue("corec").fold_multiply \
+        if lane == "compiled" else _corepy.fold_multiply
+    monkeypatch.setattr(_kernel, "fold_multiply", fold)
+    for a, b in _baseline_cases():
+        # bit i + 1 of 3b ^ b is set iff NAF digit i is nonzero
+        naf_weight = (3 * b ^ b).bit_count()
+        classical = _kernel.classical_multiply(a, b)
+        assert classical == (a * b, b.bit_count()), (a, b)
+        assert _kernel.csd_multiply(a, b) == (a * b, naf_weight), (a, b)
+        if lane == "pure":
+            assert _corepy.classical_multiply(a, b) == classical, (a, b)
+
+
+@pytest.mark.parametrize("entropy, expected", [
+    (None, TypeError), ("ab", TypeError), (b"ab", (97, 98)),
+    ([[1, 2]], TypeError), (["12"], TypeError), ([1.5], TypeError),
+    ({1: 2}, TypeError), ({3}, TypeError), ([-1], ValueError),
+    (range(3), (0, 1, 2)), (np.array([1, 2]), (1, 2)),
+    (np.uint64(7), (7,)),
+], ids=["none", "str", "bytes", "nested", "str-entry", "float-entry",
+        "dict", "set", "negative-entry", "range", "ndarray", "numpy-int"])
+def test_lanes_accept_the_same_entropy(corec, entropy, expected):
+    # expected: the exception type both lanes raise, or the entries both
+    # lanes read the entropy as
+    for lane in (corec, _corepy):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                lane.seeded_bits(entropy, 64, 2)
+        else:
+            assert lane.seeded_bits(entropy, 64, 2) == \
+                _numpy_bits(expected, 64, 2), lane
