@@ -14,6 +14,15 @@
    Horner read the cells. Every buffer comes from one calloc sized from
    the operand widths, n and k.
 
+   The n columns fill at most n of the 2**k - 1 cells, so each cell has a
+   filled byte: accumulate sets it, and a combine add, which runs only
+   when its source cell is filled, sets it on both destinations. A
+   skipped add would have added zero, so combine still counts every add
+   of the schedule, 2**(k+1) - 2k - 2, as _corepy does. Resolve and peak
+   visit filled cells only; unfilled ones stay zero, which Horner reads as
+   it is. The peak is the bit length of the widest cell: the one whose top
+   nonzero limb has the highest index and, among those, the largest value.
+
    Every cell holds a sum of distinct accumulate terms, so it stays below
    A * 2**n and fits len(A) + ceil(n / 32) limbs, and each of its lanes
    sums at most n limbs, which fits 64 bits for m < 2**32.
@@ -190,7 +199,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
             || reserve(&total, ncopies, (la + 1) * sizeof(lane)) < 0
             || reserve(&total, prod_len + cell_len + 1, sizeof(lane)) < 0
             || reserve(&total, n, sizeof(uint32_t)) < 0
-            || reserve(&total, 4 * (la + prod_len) + b_len, 1) < 0)
+            || reserve(&total, 4 * (la + prod_len) + b_len + ncells, 1) < 0)
         return PyErr_NoMemory();
     lane *cells = calloc(total, 1);
     if (!cells)
@@ -202,6 +211,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     unsigned char *a_bytes = (unsigned char *)(patterns + n);
     unsigned char *b_bytes = a_bytes + 4 * la;
     unsigned char *prod_bytes = b_bytes + b_len;
+    unsigned char *filled = prod_bytes + 4 * prod_len;
     PyObject *result = NULL;
     if (read_bytes(a, a_bytes, 4 * la) < 0
             || read_bytes(b, b_bytes, b_len) < 0)
@@ -227,29 +237,47 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
             continue;
         add_lanes(cells + patterns[i] * cell_len + i / 32,
                   copies + (i % 32) * (la + 1), la + 1);
+        filled[patterns[i]] = 1;
         acc_adds++;
     }
 
     /* combine: the decremental schedule of _corepy, 2 * (base - 1) adds
-       per round */
+       per round, all counted; an add from an unfilled (zero) cell leaves
+       its destination as it is, so it is skipped */
     Py_ssize_t comb_adds = 0;
     for (Py_ssize_t r = k; r >= 1; r--) {
         size_t base = (size_t)1 << (r - 1);
         lane *top = cells + base * cell_len;
         for (size_t j = 1; j < base; j++) {
+            if (!filled[base + j])
+                continue;
             const lane *upper = top + j * cell_len;
             add_lanes(top, upper, cell_len);
             add_lanes(cells + j * cell_len, upper, cell_len);
+            filled[base] = filled[j] = 1;
         }
         comb_adds += 2 * (Py_ssize_t)(base - 1);
     }
-    Py_ssize_t peak = 0;
-    for (size_t v = 0; v < ncells; v++) {
-        resolve(cells + v * cell_len, cell_len);
-        Py_ssize_t bits = bit_length(cells + v * cell_len, cell_len);
-        if (bits > peak)
-            peak = bits;
+
+    /* peak: the widest filled cell has the highest top nonzero limb, and
+       among those the largest top limb */
+    const lane *widest = NULL;
+    size_t widest_len = 0;
+    for (size_t v = 1; v < ncells; v++) {
+        if (!filled[v])
+            continue;
+        lane *cell = cells + v * cell_len;
+        resolve(cell, cell_len);
+        size_t len = cell_len;
+        while (len && !cell[len - 1])
+            len--;
+        if (len > widest_len || (len == widest_len && len
+                                 && cell[len - 1] > widest[len - 1])) {
+            widest = cell;
+            widest_len = len;
+        }
     }
+    Py_ssize_t peak = bit_length(widest, widest_len);
 
     /* Horner: part product j + 1, in cell 2**j, added at bit offset j*n */
     for (size_t j = 0; j < (size_t)k; j++) {

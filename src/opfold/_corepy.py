@@ -96,7 +96,10 @@ def fold_multiply(a, b, m, k):
 
     Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,
     peak_cell_bits). Caller validates 1 <= k and operand widths <= m.
+    m and k are taken through operator.index, as _corec takes them, so a
+    numpy int m or k counts as the int it holds.
     """
+    m, k = operator.index(m), operator.index(k)
     n = (m + k - 1) // k
     # the k x n part array, row j = part j+1 and column 0 = bit 0, so column
     # i's cell index has bit j set iff part j+1 has a 1 at position i

@@ -107,6 +107,11 @@ def yen_cost(k):
 def memory_bits(m, k):
     """Accumulator footprint: (2**k - 1) cells of m + ceil(m/k) bits."""
     _check(m, k)
+    return _memory_bits(m, k)
+
+
+def _memory_bits(m, k):
+    """memory_bits for an (m, k) already checked."""
     n = -(-m // k)
     return ((1 << k) - 1) * (m + n)
 

@@ -79,7 +79,7 @@ class AccumulatorBank:
         return self.cells[v - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostLedger:
     """Addition counts per phase; shifts and peak width are diagnostics
     and excluded from total."""
@@ -89,6 +89,15 @@ class CostLedger:
     horner_adds: int
     shifts: int
     peak_cell_bits: int
+
+    def __init__(self, accumulate_adds, combine_adds, horner_adds, shifts,
+                 peak_cell_bits):
+        # one dict update, where the generated frozen __init__ makes one
+        # object.__setattr__ call per field; multiply builds one per call
+        self.__dict__.update(
+            accumulate_adds=accumulate_adds, combine_adds=combine_adds,
+            horner_adds=horner_adds, shifts=shifts,
+            peak_cell_bits=peak_cell_bits)
 
     @property
     def total(self):
@@ -156,8 +165,10 @@ def combine(bank, k):
     """Decremental combination: after this, cell(2**(j-1)) = A x B_j.
 
     Rounds run i = k .. 1; round i folds each upper cell 2**(i-1) + j into
-    both 2**(i-1) and j. The schedule always performs (and the ledger
-    always counts) 2**(k+1) - 2k - 2 additions, zeros included.
+    both 2**(i-1) and j. The ledger counts the schedule's 2**(k+1) - 2k - 2
+    additions whatever the cells hold: this path and the pure kernel lane
+    perform every one, and the compiled lane skips those that add an
+    empty cell.
     """
     if bank.k != k:
         raise ValueError(f"bank built for k = {bank.k}, combine called with {k}")
@@ -180,14 +191,19 @@ def horner_assemble(bank, n, k):
 
 def bank_bits(m, k):
     """Host footprint of the 2**k - 1 accumulator cells, in bits."""
-    overhead = ((1 << k) - 1) * CELL_OVERHEAD_BITS
-    return costmodel.memory_bits(m, k) + overhead
+    costmodel._check(m, k)
+    return _bank_bits(m, k)
+
+
+def _bank_bits(m, k):
+    """bank_bits for an (m, k) already checked."""
+    return costmodel._memory_bits(m, k) + ((1 << k) - 1) * CELL_OVERHEAD_BITS
 
 
 def _validate_multiply(m, k, *operands):
     """costmodel._check, then the bank budget, k > K_CEILING before 1 << k."""
     costmodel._check(m, k, *operands)
-    if k > K_CEILING or bank_bits(m, k) > BANK_BUDGET_BITS:
+    if k > K_CEILING or _bank_bits(m, k) > BANK_BUDGET_BITS:
         raise ValueError(
             f"k = {k} at m = {m} needs an accumulator bank over the budget "
             f"of {BANK_BUDGET_BITS} bits")
@@ -199,8 +215,13 @@ def multiply(A, B, m, k):
     Returns (product, ledger). For k = 1 the path degenerates to classical
     accumulate-and-add and the ledger is (weight(B), 0, 0).
     """
-    _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
-    product, *counts = _k.fold_multiply(A.to_int(), B.to_int(), m, k)
+    a, b = A._value, B._value
+    # _validate_multiply's checks as one expression; only a refused input
+    # calls it, to raise the error that names the fault
+    if not (1 <= k <= K_CEILING and m >= 1 and (a | b).bit_length() <= m
+            and _bank_bits(m, k) <= BANK_BUDGET_BITS):
+        _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
+    product, *counts = _k.fold_multiply(a, b, m, k)
     return BitNum._wrap(product), CostLedger(*counts)
 
 

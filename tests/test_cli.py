@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, seeding."""
 
+import hashlib
+import shlex
 import tracemalloc
 
 import pytest
@@ -364,3 +366,36 @@ def test_default_seed_is_zero(capsys):
     rc, out_nine, _ = run(capsys, argv + ["--seed", "9"])
     assert rc == 0
     assert out_default == out_zero != out_nine
+
+
+# --- byte stability ---------------------------------------------------------
+
+# SHA-256 of each command's stdout, the same on both kernel lanes; a change
+# to any product, ledger, CSV, table or HDL byte changes a digest
+STDOUT_SHA256 = {
+    "bench --m-range 1024 --k-range 5 --trials 200 --seed 2":
+        "77c3fae6063c50e2d79cd7bfc5960dab0ed3b307d542927d8a8182a51c6ef2c1",
+    "bench --m-range 8:300:7 --k-range 1:8 --trials 20 --seed 4":
+        "b447534aeaac51efed72f293d056770715a2f3e700ce476d9c538e03808f3afa",
+    "multiply --a 0b1 --b 0b101010100011 --m 12 --k 2":
+        "2d37fc41ff1cb160afd36db85df102fec32e1ada7e2964a97747c31eb001a178",
+    "trace --a 0b1 --b 0b101010100011 --m 12 --k 2":
+        "85d6288d6be208d99203e602532ecef530e3c9007bd9b2987e65c8c29cf2c973",
+    "table":
+        "34e85057b592fb806ba15c915e6b8903ec35c4aa95dcbcf2b21d8589ceac39a9",
+    "optk --m-range 1:3000":
+        "bd2576986a595fd4e066ac0017ffdc83d92864d5390a650aeb708b81e6597793",
+    "hdl --m 32 --k 2":
+        "95c4c46ea3a133325b7ac38869f3b9726e4a3a0ff526e8fb0549e3a2c0f9107f",
+    "density --series density --b 4096 --depth 4 --trials 50":
+        "9ba5e4c00fe84c8bdf481f60ae6413335e00158d9264c2175f75a3013340ee42",
+    "density --series gain --b 1024 --depth 4 --trials 20":
+        "d028c35deaae65ef5599cc951c5660855ade4976cfbc7bea99f8be6b60a596d9",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_stdout_bytes_are_stable(capsys, command):
+    rc, out, err = run(capsys, shlex.split(command))
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]

@@ -1,7 +1,9 @@
 """Folded multiplication: decomposition, phases, ledgers, oracle equivalence."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from opfold.costmodel import combine_cost, f_avg, f_wst, memory_bits, optimal_k
 from opfold.folding import (
     BANK_BUDGET_BITS,
     CELL_OVERHEAD_BITS,
+    K_CEILING,
     AccumulatorBank,
     CostLedger,
     Decomposition,
@@ -83,11 +86,36 @@ def test_split_rejects():
     (lambda: memory_bits(0, 0), "k must be >= 1, got 0"),
     (lambda: optimal_k(0, 0), "k must be >= 1, got 0"),
     (lambda: bank_bits(0, 0), "k must be >= 1, got 0"),
+    # multiply's fast path refuses what the checks refuse, with their message
+    (lambda: multiply(BitNum(1 << 100), BitNum(1), 100, 2),
+     "multiplicand has 101 bits, exceeds m = 100"),
+    (lambda: multiply(BitNum(1), BitNum(1 << 100), np.int64(100), 2),
+     "multiplier has 101 bits, exceeds m = 100"),
+    (lambda: multiply(BitNum(1 << 8), BitNum(1), 8, 0),
+     "k must be >= 1, got 0"),
+    (lambda: multiply(BitNum(0), BitNum(0), 0, 1), "m must be >= 1, got 0"),
+    (lambda: multiply(BitNum(1), BitNum(1), 8, K_CEILING + 1),
+     f"k = {K_CEILING + 1} at m = 8 needs an accumulator bank over the "
+     f"budget of {BANK_BUDGET_BITS} bits"),
+    (lambda: multiply(BitNum(0), BitNum(0), 1 << 20, 10),
+     f"k = 10 at m = {1 << 20} needs an accumulator bank over the budget "
+     f"of {BANK_BUDGET_BITS} bits"),
 ])
 def test_input_check_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [100, np.int64(100)], ids=["int", "numpy-int64"])
+def test_multiply_accepts_operands_exactly_m_bits_wide(m):
+    # the fast path compares bit lengths with m, so a numpy int m works as
+    # a plain one does; a shortcut such as (a | b) >> m raises
+    # OverflowError for it
+    a, b = (1 << 100) - 1, 1 << 99 | 5
+    product, ledger = multiply(BitNum(a), BitNum(b), m, 4)
+    assert product.to_int() == a * b
+    assert ledger == trace_multiply(BitNum(a), BitNum(b), 100, 4).ledger
 
 
 @given(mk_cases())
@@ -362,6 +390,29 @@ def test_fused_matches_phased_path_grid():
                 trace = trace_multiply(A, B, m, k)
                 assert product.to_int() == a * b
                 assert (product, ledger) == (trace.product, trace.ledger)
+
+
+def test_cost_ledger_is_a_frozen_dataclass():
+    ledger = CostLedger(4, 2, 1, 7, 6)
+    assert [f.name for f in dataclasses.fields(CostLedger)] == [
+        "accumulate_adds", "combine_adds", "horner_adds", "shifts",
+        "peak_cell_bits"]
+    assert repr(ledger) == ("CostLedger(accumulate_adds=4, combine_adds=2, "
+                            "horner_adds=1, shifts=7, peak_cell_bits=6)")
+    assert ledger == CostLedger(accumulate_adds=4, combine_adds=2,
+                                horner_adds=1, shifts=7, peak_cell_bits=6)
+    assert ledger != CostLedger(4, 2, 1, 7, 5)
+    assert ledger != (4, 2, 1, 7, 6)
+    assert hash(ledger) == hash((4, 2, 1, 7, 6))
+    assert dataclasses.replace(ledger, shifts=9) == CostLedger(4, 2, 1, 9, 6)
+    assert dataclasses.astuple(ledger) == (4, 2, 1, 7, 6)
+    assert ledger.total == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ledger.shifts = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ledger.shifts
+    with pytest.raises(TypeError):
+        CostLedger(4, 2, 1, 7)
 
 
 # --- bank budget -----------------------------------------------------------

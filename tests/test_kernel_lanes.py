@@ -68,6 +68,49 @@ def test_lanes_agree_random_wide(corec):
                rng.randint(1, 10))
 
 
+def test_lanes_agree_on_mostly_empty_banks(corec):
+    # at k = 9..12 a few set multiplier bits fill a few of the 2**k - 1
+    # cells, so most combine adds read an unfilled cell
+    rng = random.Random(2026)
+    for m in (9, 40, 100, 301, 1000):
+        ones = (1 << m) - 1
+        for k in range(9, 13):
+            n = -(-m // k)
+            for count in (1, 2, 3):
+                b = 0
+                for j in rng.sample(range(-(-m // n)), count):
+                    b |= 1 << rng.randrange(j * n, min(j * n + n, m))
+                for a in (ones, rng.getrandbits(m)):
+                    _check(corec, a, b, m, k)
+
+
+def test_zero_multiplier_leaves_every_cell_empty(corec):
+    for m, k in ((1, 1), (64, 5), (300, 8), (1000, 12)):
+        result = corec.fold_multiply((1 << m) - 1, 0, m, k)
+        assert result == _corepy.fold_multiply((1 << m) - 1, 0, m, k)
+        assert result[0] == result[5] == 0
+
+
+@pytest.mark.parametrize("b", [1 | 2 << 40, 2 | 1 << 40],
+                         ids=["later-cell-wider", "earlier-cell-wider"])
+def test_peak_compares_top_limbs_of_equal_index(corec, b):
+    # k = 2, n = 40: cells 1 and 2 hold A * B_1 and A * B_2, 40 and 41 bits
+    # wide, so both top nonzero limbs are limb 1 and their values decide
+    a, m, k = (1 << 40) - 1, 80, 2
+    result = corec.fold_multiply(a, b, m, k)
+    assert result == _corepy.fold_multiply(a, b, m, k)
+    assert result[5] == 41
+
+
+def test_lanes_take_numpy_int_m_and_k(corec):
+    a, b = (1 << 100) - 1, (1 << 100) - 3
+    expected = corec.fold_multiply(a, b, 100, 3)
+    for lane in (corec, _corepy):
+        result = lane.fold_multiply(a, b, np.int64(100), np.int32(3))
+        assert result == expected
+        assert all(type(x) is int for x in result)
+
+
 def test_pure_lane_sparse_multiplier_is_linear_in_m():
     # one set column of 2**20: a per-column shift of A would take seconds
     start = time.perf_counter()
