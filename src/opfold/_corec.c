@@ -1,5 +1,5 @@
-/* Compiled lane of the kernel layer: _corepy.fold_multiply and
-   _corepy.seeded_bits in C.
+/* Compiled lane of the kernel layer: _corepy.fold_multiply,
+   _corepy.seeded_bits and _corepy.bernoulli_bits in C.
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
    runs the same schedule, so products and ledgers are identical.
@@ -46,11 +46,20 @@
      right by the state's top 6 bits.
    Generator.bytes keeps the little-endian bytes of those outputs, so
    value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
-   and all values are cut from one buffer. */
+   and all values are cut from one buffer.
+
+   bernoulli_bits(rng, b, delta) takes a numpy Generator and draws from it
+   the b doubles rng.random(b) would: it calls the next_double of the
+   bit generator's public "BitGenerator" capsule b times, holding the bit
+   generator's lock and not the GIL, as Generator.random does. So on every
+   numpy bit generator the value and the state left behind are the pure
+   lane's, and the draw needs b / 8 bytes, where the pure lane holds a
+   float64 and a bool per bit. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 /* folding.K_CEILING, exported as K_CEILING for the tests to compare: above
    it 2**k cells alone outgrow the accumulator bank budget */
@@ -513,6 +522,115 @@ seeded_bits(PyObject *Py_UNUSED(module), PyObject *args)
     return result;
 }
 
+/* numpy/random/bitgen.h, the struct behind a BitGenerator's public
+   "BitGenerator" capsule, declared here because _corec builds without the
+   numpy headers */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy.random.Generator, imported on the first bernoulli_bits call */
+static PyObject *generator_type;
+
+/* the names bernoulli_bits looks up on each call, interned at import */
+static PyObject *bit_generator_str, *capsule_str, *lock_str, *acquire_str,
+    *release_str;
+
+/* 1 if rng is a numpy.random.Generator, else 0 with TypeError set, or -1
+   with the import's error set */
+static int
+check_generator(PyObject *rng)
+{
+    if (!generator_type) {
+        PyObject *random = PyImport_ImportModule("numpy.random");
+        if (!random)
+            return -1;
+        generator_type = PyObject_GetAttrString(random, "Generator");
+        Py_DECREF(random);
+        if (!generator_type)
+            return -1;
+    }
+    int rc = PyObject_IsInstance(rng, generator_type);
+    if (rc == 0) {
+        /* type(rng).__name__: tp_name after its last dot */
+        const char *name = Py_TYPE(rng)->tp_name, *dot = strrchr(name, '.');
+        PyErr_Format(PyExc_TypeError,
+                     "rng must be a numpy.random.Generator, got %s",
+                     dot ? dot + 1 : name);
+    }
+    return rc;
+}
+
+/* Bits from b doubles u drawn as Generator.random(b) draws them, under
+   the bit generator's lock and without the GIL: bit i is set iff the i-th
+   u < float(delta). Each 64 of them are or-ed into one word, without a
+   branch */
+static PyObject *
+bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *rng, *delta_arg;
+    Py_ssize_t b;
+    if (!PyArg_ParseTuple(args, "OnO:bernoulli_bits", &rng, &b, &delta_arg))
+        return NULL;
+    if (check_generator(rng) <= 0)
+        return NULL;
+    if (b < 0) {
+        PyErr_Format(PyExc_ValueError, "b must be >= 0, got %zd", b);
+        return NULL;
+    }
+    /* float(delta), as the pure lane compares: a wider delta (a Fraction,
+       a long double) is rounded once here, not compared exactly */
+    PyObject *as_float = PyNumber_Float(delta_arg);
+    if (!as_float)
+        return NULL;
+    double delta = PyFloat_AS_DOUBLE(as_float);
+    Py_DECREF(as_float);
+    if (!b)
+        return PyLong_FromLong(0);
+    size_t nwords = ((size_t)b + 63) / 64;
+    unsigned char *data = malloc(8 * nwords);
+    if (!data)
+        return PyErr_NoMemory();
+    PyObject *result = NULL, *lock = NULL, *capsule = NULL;
+    PyObject *bit_generator = PyObject_GetAttr(rng, bit_generator_str);
+    if (!bit_generator
+            || !(capsule = PyObject_GetAttr(bit_generator, capsule_str))
+            || !(lock = PyObject_GetAttr(bit_generator, lock_str)))
+        goto done;
+    bitgen_t *bitgen = PyCapsule_GetPointer(capsule, "BitGenerator");
+    PyObject *held = bitgen ? PyObject_CallMethodNoArgs(lock, acquire_str)
+                            : NULL;
+    if (!held)
+        goto done;
+    Py_DECREF(held);
+    Py_BEGIN_ALLOW_THREADS
+    for (size_t w = 0; w < nwords; w++) {
+        size_t bits = w + 1 < nwords || b % 64 == 0 ? 64 : (size_t)b % 64;
+        uint64_t word = 0;
+        for (size_t i = 0; i < bits; i++)
+            word |= (uint64_t)(bitgen->next_double(bitgen->state) < delta)
+                    << i;
+        store_le32(data + 8 * w, (uint32_t)word);
+        store_le32(data + 8 * w + 4, (uint32_t)(word >> 32));
+    }
+    Py_END_ALLOW_THREADS
+    PyObject *released = PyObject_CallMethodNoArgs(lock, release_str);
+    if (released) {
+        Py_DECREF(released);
+        result = _PyLong_FromByteArray(data, 8 * nwords, 1, 0);
+    }
+done:
+    Py_XDECREF(lock);
+    Py_XDECREF(capsule);
+    Py_XDECREF(bit_generator);
+    free(data);
+    return result;
+}
+
 static PyMethodDef corec_methods[] = {
     {"fold_multiply", fold_multiply, METH_VARARGS,
      "fold_multiply(a, b, m, k)\n--\n\n"
@@ -524,14 +642,19 @@ static PyMethodDef corec_methods[] = {
      "count ints of m uniform bits from numpy's SeedSequence/PCG64 stream\n"
      "for entropy, an int or a sequence of ints >= 0, as\n"
      "_corepy.seeded_bits returns them."},
+    {"bernoulli_bits", bernoulli_bits, METH_VARARGS,
+     "bernoulli_bits(rng, b, delta)\n--\n\n"
+     "Int whose bit i is set iff the i-th of b doubles that numpy Generator\n"
+     "rng.random(b) would draw is below delta, as _corepy.bernoulli_bits\n"
+     "returns it, leaving rng as that draw would."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_corec",
-    .m_doc = "Compiled lane of the kernel layer: fold_multiply and "
-             "seeded_bits.",
+    .m_doc = "Compiled lane of the kernel layer: fold_multiply, seeded_bits "
+             "and bernoulli_bits.",
     .m_size = -1,
     .m_methods = corec_methods,
 };
@@ -540,7 +663,12 @@ PyMODINIT_FUNC
 PyInit__corec(void)
 {
     PyObject *module = PyModule_Create(&corec_module);
-    if (module && PyModule_AddIntMacro(module, K_CEILING) < 0)
+    if (module && (PyModule_AddIntMacro(module, K_CEILING) < 0
+            || !(bit_generator_str = PyUnicode_InternFromString("bit_generator"))
+            || !(capsule_str = PyUnicode_InternFromString("capsule"))
+            || !(lock_str = PyUnicode_InternFromString("lock"))
+            || !(acquire_str = PyUnicode_InternFromString("acquire"))
+            || !(release_str = PyUnicode_InternFromString("release"))))
         Py_CLEAR(module);
     return module;
 }

@@ -13,7 +13,9 @@ fold is the classical baseline: one cell, one addition per set bit of b.
 
 draw_bits holds the one rule that cuts m-bit operands from a numpy
 Generator's bytes; seeded_bits applies it to a fresh default_rng, and is
-the pure-lane twin of _corec.seeded_bits.
+the pure-lane twin of _corec.seeded_bits. _from_bits is the one
+bit-array-to-int rule, and bernoulli_bits packs a Generator's
+`random(b) < delta` with it, as _corec.bernoulli_bits draws it.
 """
 
 import operator
@@ -33,6 +35,26 @@ def _bit_flags(x, width):
     # slice drops it again
     return format(x | 1 << width, "b")[:0:-1].encode("ascii").translate(
         _BIT_FLAGS)
+
+
+def _from_bits(bits):
+    """Int whose bit i is bits[i], for a bool or 0/1 array, lowest first."""
+    return int.from_bytes(
+        np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def bernoulli_bits(rng, b, delta):
+    """Int whose bit i is set iff the i-th of the b doubles rng.random(b)
+    draws is below float(delta); rng must be a numpy Generator. _corec
+    takes the same arguments and compares with the same double."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy.random.Generator, got "
+                        f"{type(rng).__name__}")
+    b = operator.index(b)
+    if b < 0:
+        raise ValueError(f"b must be >= 0, got {b}")
+    delta = float(delta)
+    return _from_bits(rng.random(b) < delta)
 
 
 def draw_bits(rng, m, count):

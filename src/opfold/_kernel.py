@@ -1,14 +1,14 @@
-"""The multiply kernel layer: one fold kernel, with both baselines at k = 1.
+"""The kernel layer: one fold kernel, both baselines at k = 1, and draws.
 
-fold_multiply and seeded_bits come from the compiled lane `_corec` when
-it is built (`python3 setup.py build_ext --inplace`) and from _corepy
-otherwise, both from one lane; KERNEL_NAME names the lane and
-KERNEL_REASON says why it was chosen. _corepy's NAF masks, the bit
-reader `_bit_flags` that SignedDigitString.digits is read with, and
-draw_bits, which cuts m-bit values from a caller's numpy Generator, are
-re-exported. folding.multiply and both baselines call through this
-module, so the kernel stays one layer that can be timed, traced or
-replaced on its own.
+fold_multiply, seeded_bits and bernoulli_bits come from the compiled
+lane `_corec` when it is built (`python3 setup.py build_ext --inplace`)
+and from _corepy otherwise, all from one lane; KERNEL_NAME names the
+lane and KERNEL_REASON says why it was chosen. _corepy's NAF masks, the
+bit reader `_bit_flags` that SignedDigitString.digits is read with, its
+one bit packer `_from_bits`, and draw_bits, which cuts m-bit values from
+a caller's numpy Generator, are re-exported. folding.multiply, both
+baselines and density.bernoulli_block call through this module, so the
+kernel stays one layer that can be timed, traced or replaced on its own.
 
 classical_multiply(a, b) is fold_multiply at k = 1, so its count is
 popcount(b). csd_multiply(a, b) folds the +1 and -1 masks of b's NAF
@@ -20,6 +20,13 @@ draw_bits(np.random.default_rng(entropy), m, count) gives, for the
 entropy both lanes accept. The pure lane builds that Generator; the
 compiled lane runs numpy's SeedSequence and PCG64 in C and builds none,
 and its values are the same bit for bit.
+
+bernoulli_bits(rng, b, delta) is the int whose bit i is set iff the
+i-th of the b doubles rng.random(b) draws is below float(delta); rng
+must be a numpy Generator on both lanes. The pure lane packs that bool array; the
+compiled lane calls the bit generator's next_double b times through
+numpy's "BitGenerator" capsule, under the bit generator's lock, and
+packs each 64 bits into one word. Both leave rng in the same state.
 
 Both lanes run one schedule: accumulate adds A shifted to column i's
 offset into the cell that column's pattern names, once per nonzero
@@ -36,21 +43,21 @@ Horner shifts.
 """
 
 from . import _corepy
-from ._corepy import _bit_flags, draw_bits, naf_masks
+from ._corepy import _bit_flags, _from_bits, draw_bits, naf_masks
 
 try:
-    from ._corec import fold_multiply, seeded_bits
+    from ._corec import bernoulli_bits, fold_multiply, seeded_bits
 except ImportError as exc:
-    from ._corepy import fold_multiply, seeded_bits
+    from ._corepy import bernoulli_bits, fold_multiply, seeded_bits
     KERNEL_NAME = _corepy.KERNEL_NAME
     KERNEL_REASON = f"compiled lane not importable: {exc}"
 else:
     KERNEL_NAME = "compiled"
     KERNEL_REASON = "opfold._corec is built"
 
-__all__ = ["KERNEL_NAME", "KERNEL_REASON", "classical_multiply",
-           "csd_multiply", "draw_bits", "fold_multiply", "naf_masks",
-           "seeded_bits"]
+__all__ = ["KERNEL_NAME", "KERNEL_REASON", "bernoulli_bits",
+           "classical_multiply", "csd_multiply", "draw_bits",
+           "fold_multiply", "naf_masks", "seeded_bits"]
 
 
 def classical_multiply(a, b):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel as _k
-from .bitnum import BitNum, _from_bits
+from .bitnum import BitNum
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class SignedDigitString:
             if d not in (-1, 0, 1):
                 raise ValueError(f"digit {d} outside {{-1, 0, +1}}")
         a = np.asarray(digits)
-        result = cls(_from_bits(a == 1), _from_bits(a == -1))
+        result = cls(_k._from_bits(a == 1), _k._from_bits(a == -1))
         if len(result) != len(digits):
             raise ValueError("leading zero digit")
         return result

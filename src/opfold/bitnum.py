@@ -4,8 +4,6 @@ A BitNum holds one non-negative host int. Bitwise and additive operators
 map straight onto int operators; the multiply kernels in _corepy build
 products from shifted additions only, so the oracle tests that check them
 against native `*` still compare two independent routes.
-`_from_bits` is the one bit-array-to-int rule (lowest bit first, via
-`np.packbits`), shared by the density samplers and the signed-digit decode.
 """
 
 import numpy as np
@@ -15,12 +13,6 @@ from . import _kernel as _k
 
 class UnderflowError(ArithmeticError):
     """Subtraction result would be negative."""
-
-
-def _from_bits(bits):
-    """Int whose bit i is bits[i], for a bool or 0/1 array, lowest first."""
-    return int.from_bytes(
-        np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class BitNum:

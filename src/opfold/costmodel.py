@@ -13,6 +13,7 @@ Ties go to the larger k, which is what places the exact integer crossings
 (m = 24, 84) at the start of the next range.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -110,10 +111,13 @@ def memory_bits(m, k):
     return _memory_bits(m, k)
 
 
-def _memory_bits(m, k):
-    """memory_bits for an (m, k) already checked."""
+def _memory_bits(m, k, per_cell=0):
+    """memory_bits for an (m, k) already checked, plus per_cell bits for
+    each cell. m and k are taken through operator.index, so a numpy int m
+    counts as the int it holds and the product cannot wrap at 64 bits."""
+    m, k = operator.index(m), operator.index(k)
     n = -(-m // k)
-    return ((1 << k) - 1) * (m + n)
+    return ((1 << k) - 1) * (m + n + per_cell)
 
 
 def crossing(k, k_next):

@@ -25,16 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitnum import BitNum, _from_bits
+from . import _kernel as _k
+from .bitnum import BitNum
 
 MODES = ("nodes-only", "full-recursive")
 
-# Largest block the samplers draw: bernoulli_block holds 9 bytes per bit
-# (a float64 draw and a bool), so 2**24 bits is about 150 MB.
+# Largest block the samplers draw. On the pure kernel lane bernoulli_block
+# holds 9 bytes per bit (a float64 draw and a bool), so 2**24 bits is about
+# 150 MB; the compiled lane packs the draw as it goes and holds b/8 bytes.
 MAX_BLOCK_BITS = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SplitOutcome:
     """The three children of one halving split with measured densities."""
 
@@ -44,6 +46,11 @@ class SplitOutcome:
     density10: float
     density01: float
     density11: float
+
+    def __init__(self, b10, b01, b11, density10, density01, density11):
+        # one dict update, as folding.CostLedger builds itself
+        self.__dict__.update(b10=b10, b01=b01, b11=b11, density10=density10,
+                             density01=density01, density11=density11)
 
 
 def logistic_step(delta):
@@ -132,7 +139,7 @@ def simulate_split(parent, b):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelStats:
     """Per-level accounting of one tree walk."""
 
@@ -143,8 +150,15 @@ class LevelStats:
     frontier_weight: int
     frontier_density: float
 
+    def __init__(self, level, harvested, cumulative_gain, residual_weight,
+                 frontier_weight, frontier_density):
+        self.__dict__.update(
+            level=level, harvested=harvested, cumulative_gain=cumulative_gain,
+            residual_weight=residual_weight, frontier_weight=frontier_weight,
+            frontier_density=frontier_density)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TreeReport:
     """Gain report of simulate_tree."""
 
@@ -153,6 +167,10 @@ class TreeReport:
     depth: int
     initial_weight: int
     levels: tuple
+
+    def __init__(self, mode, b, depth, initial_weight, levels):
+        self.__dict__.update(mode=mode, b=b, depth=depth,
+                             initial_weight=initial_weight, levels=levels)
 
     @property
     def gain(self):
@@ -234,11 +252,13 @@ def _check_budget(b):
 
 
 def bernoulli_block(b, delta, rng):
-    """Random b-bit block with independent Bernoulli(delta) bits."""
+    """Random b-bit block with independent Bernoulli(delta) bits: bit i is
+    set iff the i-th double of rng.random(b) is below delta, for a numpy
+    Generator rng (_kernel.bernoulli_bits)."""
     _check_budget(b)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"density {delta} outside [0, 1]")
-    return BitNum._wrap(_from_bits(rng.random(b) < delta))
+    return BitNum._wrap(_k.bernoulli_bits(rng, b, delta))
 
 
 def exact_weight_block(b, w, rng):
@@ -248,7 +268,7 @@ def exact_weight_block(b, w, rng):
         raise ValueError(f"weight {w} outside 0..{b}")
     bits = np.zeros(b, bool)
     bits[rng.choice(b, size=w, replace=False)] = True
-    return BitNum._wrap(_from_bits(bits))
+    return BitNum._wrap(_k._from_bits(bits))
 
 
 def _sample_block(b, delta, rng, exact_weight):

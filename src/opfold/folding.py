@@ -197,7 +197,7 @@ def bank_bits(m, k):
 
 def _bank_bits(m, k):
     """bank_bits for an (m, k) already checked."""
-    return costmodel._memory_bits(m, k) + ((1 << k) - 1) * CELL_OVERHEAD_BITS
+    return costmodel._memory_bits(m, k, CELL_OVERHEAD_BITS)
 
 
 def _validate_multiply(m, k, *operands):

@@ -1,5 +1,6 @@
 """Density recursion model and the splitting simulator that validates it."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from opfold.density import (
     MODES,
     SERIES_COLUMNS,
     LevelStats,
+    SplitOutcome,
     TreeReport,
     bernoulli_block,
     density_series,
@@ -294,6 +296,37 @@ def test_bernoulli_block_rejects():
         bernoulli_block(-1, 0.5, rng)
     with pytest.raises(ValueError):
         bernoulli_block(8, 1.5, rng)
+
+
+def test_bernoulli_block_takes_a_generator_only():
+    # a RandomState has .random too, but the kernel draws through a
+    # Generator's bit generator
+    rng = np.random.RandomState(5)
+    state = rng.get_state()[1].copy()
+    with pytest.raises(TypeError, match="numpy.random.Generator"):
+        bernoulli_block(8, 0.5, rng)
+    assert np.array_equal(rng.get_state()[1], state)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (SplitOutcome, (BitNum(1), BitNum(2), BitNum(0), 0.5, 0.5, 0.0)),
+    (LevelStats, (1, 3, 3, 5, 4, 0.25)),
+    (TreeReport, ("nodes-only", 16, 1, 8, ())),
+], ids=["SplitOutcome", "LevelStats", "TreeReport"])
+def test_records_are_frozen_dataclasses(cls, args):
+    names = [f.name for f in dataclasses.fields(cls)]
+    record = cls(*args)
+    assert record == cls(**dict(zip(names, args)))
+    assert [getattr(record, n) for n in names] == list(args)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{n}={a!r}" for n, a in zip(names, args)) + ")"
+    assert hash(record) == hash(args)
+    changed = dataclasses.replace(record, **{names[1]: args[0]})
+    assert changed != record and getattr(changed, names[1]) == args[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], args[1])
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
 
 
 def test_exact_weight_block():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opfold import folding
 from opfold.bitnum import BitNum
 from opfold.costmodel import combine_cost, f_avg, f_wst, memory_bits, optimal_k
 from opfold.folding import (
@@ -105,6 +107,27 @@ def test_input_check_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m, k", [(1 << 36, 27), (1 << 40, 23), (1 << 43, 20)],
+                         ids=["2^36-27", "2^40-23", "2^43-20"])
+def test_numpy_int_shapes_over_budget_refused_as_ints(m, k):
+    # (2**k - 1) * (m + ceil(m/k)) passes 2**63 here: in int64 it wraps, to
+    # a negative bank at (2**36, 27), and the shape would pass the budget
+    with pytest.raises(ValueError) as want:
+        multiply(BitNum(0), BitNum(0), m, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bank_bits(np.int64(m), np.int64(k)) == bank_bits(m, k)
+        assert memory_bits(np.int64(m), np.int32(k)) == memory_bits(m, k)
+        for call in (
+                lambda: multiply(BitNum(0), BitNum(0), np.int64(m), k),
+                lambda: multiply(BitNum(1), BitNum(1), np.int64(m),
+                                 np.int64(k)),
+                lambda: folding._validate_multiply(np.int64(m), k)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == str(want.value)
 
 
 @pytest.mark.parametrize("m", [100, np.int64(100)], ids=["int", "numpy-int64"])

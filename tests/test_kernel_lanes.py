@@ -9,7 +9,9 @@ import importlib.util
 import random
 import subprocess
 import sys
+import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from opfold import _corepy, _kernel
 from opfold.bitnum import random_bitnums
 from opfold.costmodel import measure_mean
+from opfold.density import bernoulli_block
 from opfold.folding import K_CEILING
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -248,3 +251,69 @@ def test_lanes_accept_the_same_entropy(corec, entropy, expected):
         else:
             assert lane.seeded_bits(entropy, 64, 2) == \
                 _numpy_bits(expected, 64, 2), lane
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                         ids=[g.__name__ for g in BIT_GENERATORS])
+def test_bernoulli_bits_same_on_both_lanes(corec, bit_generator):
+    # the compiled lane calls the capsule's next_double, which on every bit
+    # generator is the double Generator.random draws
+    for b in (0, 1, 63, 64, 65, 256, 1023, 4096):
+        for delta in (0.0, 5e-324, 0.2, 0.5, np.nextafter(1.0, 0.0), 1.0):
+            ours = np.random.Generator(bit_generator([b, 7]))
+            ref = np.random.Generator(bit_generator([b, 7]))
+            value = corec.bernoulli_bits(ours, b, delta)
+            assert value == _corepy.bernoulli_bits(ref, b, delta), (b, delta)
+            assert value.bit_length() <= b
+            assert np.array_equal(ours.bit_generator.random_raw(4),
+                                  ref.bit_generator.random_raw(4)), (b, delta)
+
+
+def test_bernoulli_bits_compare_with_float_delta(corec):
+    # a delta finer than a double lies between the first draw u and the next
+    # double above it; numpy alone would compare u < delta exactly, and set
+    # the bit
+    u = np.random.default_rng(1).random()
+    for delta in (np.longdouble(u) + np.longdouble(2) ** -60,
+                  Fraction(u) + Fraction(1, 2**60)):
+        for lane in (corec, _corepy):
+            assert lane.bernoulli_bits(np.random.default_rng(1), 1, delta) \
+                == 0, (lane, delta)
+
+
+@pytest.mark.parametrize("rng", [
+    np.random.RandomState(1), np.random.PCG64(1), None, 1,
+    [np.random.default_rng(1)]],
+    ids=["random-state", "bit-generator", "none", "int", "list"])
+def test_bernoulli_bits_take_a_generator_only(corec, rng):
+    messages = set()
+    for lane in (corec, _corepy):
+        with pytest.raises(TypeError) as info:
+            lane.bernoulli_bits(rng, 8, 0.5)
+        messages.add(str(info.value))
+    assert messages == {"rng must be a numpy.random.Generator, got "
+                        f"{type(rng).__name__}"}
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_bernoulli_block_holds_the_bit_generator_lock(lane, request,
+                                                      monkeypatch):
+    bits = request.getfixturevalue("corec").bernoulli_bits \
+        if lane == "compiled" else _corepy.bernoulli_bits
+    monkeypatch.setattr(_kernel, "bernoulli_bits", bits)
+    rng = np.random.default_rng(42)
+    out = []
+    drawer = threading.Thread(
+        target=lambda: out.append(bernoulli_block(256, 0.3, rng)))
+    with rng.bit_generator.lock:
+        drawer.start()
+        drawer.join(0.2)
+        assert drawer.is_alive()
+    drawer.join(30)
+    assert not drawer.is_alive()
+    assert out[0].to_int() == \
+        _corepy.bernoulli_bits(np.random.default_rng(42), 256, 0.3)
