@@ -8,11 +8,21 @@
    lane. A is shifted once into one copy per bit offset 0..31, each
    len(A) + 1 limbs, and column i's accumulate step adds copy i % 32 at
    limb i / 32 of its cell: no column shifts a full-width copy of A (the
-   classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1). Accumulate
-   and combine add lane by lane and leave the carries in the lanes' upper
-   halves; they are resolved once per cell before the peak width and
-   Horner read the cells. Every buffer comes from one calloc sized from
-   the operand widths, n and k.
+   classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1). A shifted
+   limb is read from its two source limbs, with no carry from the limb
+   before, so the shift loop vectorises. Accumulate and combine add lane
+   by lane and leave the carries in the lanes' upper halves; they are
+   resolved once per cell before the peak width and Horner read the
+   cells. Every buffer comes from one calloc sized from the operand
+   widths, n and k.
+
+   Accumulate reads the column patterns 8 columns at a time and keeps
+   none of them past its step: it takes one byte of each part, 8 parts
+   to a 64-bit word, and one 8 x 8 bit transpose per word gives each
+   column its pattern byte (Warren, Hacker's Delight, 7-3). The OR of the
+   parts' bytes names the columns with a nonzero pattern, and only those
+   add. B is held zero-padded to k * n bits, so a byte is read from any
+   part at any bit offset.
 
    The n columns fill at most n of the 2**k - 1 cells, so each cell has a
    filled byte: accumulate sets it, and a combine add, which runs only
@@ -93,17 +103,44 @@ add_lanes(lane *restrict dst, const lane *restrict src, size_t len)
         dst[t] += src[t];
 }
 
-/* out[0 .. len] = x[0 .. len) << s for resolved limbs x and 0 <= s < 32 */
+/* out[0 .. len] = x[0 .. len) << s for resolved limbs x and 0 <= s < 32;
+   each limb reads its two source limbs and carries nothing to the next,
+   so the loop vectorises */
 static void
 shift_into(lane *restrict out, const lane *restrict x, size_t len, unsigned s)
 {
-    lane below = 0;
-    for (size_t t = 0; t < len; t++) {
-        lane w = x[t] << s;
-        out[t] = (w & LIMB_MASK) | below;
-        below = w >> 32;
+    if (!len) {
+        out[0] = 0;
+        return;
     }
-    out[len] = below;
+    out[0] = x[0] << s & LIMB_MASK;
+    for (size_t t = 1; t < len; t++)
+        out[t] = (x[t] << s & LIMB_MASK) | x[t - 1] << s >> 32;
+    out[len] = x[len - 1] << s >> 32;
+}
+
+/* The 8 bits of b from bit pos up; b holds at least pos / 8 + 2 bytes */
+static unsigned
+bits8(const unsigned char *b, size_t pos)
+{
+    return (unsigned)(b[pos / 8] | b[pos / 8 + 1] << 8) >> pos % 8 & 0xFF;
+}
+
+/* The 8 x 8 bit matrix x, bit 8r + c holding row r, column c, transposed:
+   three rounds of masked swaps of 2 x 2, 4 x 4 and 8 x 8 blocks (Warren,
+   Hacker's Delight, 7-3) */
+static uint64_t
+transpose8(uint64_t x)
+{
+    x = (x & UINT64_C(0xAA55AA55AA55AA55))
+        | (x & UINT64_C(0x00AA00AA00AA00AA)) << 7
+        | (x >> 7 & UINT64_C(0x00AA00AA00AA00AA));
+    x = (x & UINT64_C(0xCCCC3333CCCC3333))
+        | (x & UINT64_C(0x0000CCCC0000CCCC)) << 14
+        | (x >> 14 & UINT64_C(0x0000CCCC0000CCCC));
+    return (x & UINT64_C(0xF0F0F0F00F0F0F0F))
+           | (x & UINT64_C(0x00000000F0F0F0F0)) << 28
+           | (x >> 28 & UINT64_C(0x00000000F0F0F0F0));
 }
 
 /* Carry each lane's upper half into the next lane, leaving one limb per
@@ -199,6 +236,9 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     size_t ncells = (size_t)1 << k;
     size_t la = ((size_t)a_bits + 31) / 32;
     size_t b_len = ((size_t)b_bits + 7) / 8;
+    /* b zero-padded to k * n bits plus one byte, so bits8 can read any
+       column of any part */
+    size_t b_pad = ((size_t)k * n + 7) / 8 + 1;
     size_t cell_len = la + (n + 31) / 32;
     size_t ncopies = n < 32 ? n : 32;
     /* Horner adds cell_len + 1 limbs at limb (k - 1) * n / 32 at most */
@@ -207,8 +247,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     if (reserve(&total, ncells, cell_len * sizeof(lane)) < 0
             || reserve(&total, ncopies, (la + 1) * sizeof(lane)) < 0
             || reserve(&total, prod_len + cell_len + 1, sizeof(lane)) < 0
-            || reserve(&total, n, sizeof(uint32_t)) < 0
-            || reserve(&total, 4 * (la + prod_len) + b_len + ncells, 1) < 0)
+            || reserve(&total, 4 * (la + prod_len) + b_pad + ncells, 1) < 0)
         return PyErr_NoMemory();
     lane *cells = calloc(total, 1);
     if (!cells)
@@ -216,38 +255,57 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     lane *copies = cells + ncells * cell_len;
     lane *prod = copies + ncopies * (la + 1);
     lane *shifted = prod + prod_len;
-    uint32_t *patterns = (uint32_t *)(shifted + cell_len + 1);
-    unsigned char *a_bytes = (unsigned char *)(patterns + n);
+    unsigned char *a_bytes = (unsigned char *)(shifted + cell_len + 1);
     unsigned char *b_bytes = a_bytes + 4 * la;
-    unsigned char *prod_bytes = b_bytes + b_len;
+    unsigned char *prod_bytes = b_bytes + b_pad;
     unsigned char *filled = prod_bytes + 4 * prod_len;
     PyObject *result = NULL;
     if (read_bytes(a, a_bytes, 4 * la) < 0
             || read_bytes(b, b_bytes, b_len) < 0)
         goto done;
 
-    /* column i's pattern has bit j set iff bit i of part j + 1, which is
-       bit j*n + i of b, is set */
-    for (size_t j = 0; j < (size_t)k && j * n < (size_t)b_bits; j++) {
-        size_t start = j * n;
-        size_t stop = start + n < (size_t)b_bits ? start + n : (size_t)b_bits;
-        for (size_t pos = start; pos < stop; pos++)
-            patterns[pos - start] |=
-                (uint32_t)((b_bytes[pos / 8] >> (pos % 8)) & 1) << j;
-    }
-
     for (size_t t = 0; t < la; t++)
         copies[t] = load_le32(a_bytes + 4 * t);
     for (size_t s = 1; s < ncopies; s++)
         shift_into(copies + s * (la + 1), copies, la, (unsigned)s);
+
+    /* accumulate, 8 columns i0 .. i0 + 7 at a time. Column i's pattern has
+       bit j set iff bit i of part j + 1, bit j*n + i of b, is set. Byte
+       j % 8 of rows[j / 8] holds those 8 columns of part j + 1, and its
+       transpose holds their pattern bits, byte t for column i0 + t. Only
+       the first min(n, b_bits) columns and the parts that start below
+       b_bits can hold a set bit. Bit t of nonzero, the OR of the parts'
+       bytes, is set iff column i0 + t has a nonzero pattern */
+    size_t ncols = (size_t)b_bits < n ? (size_t)b_bits : n;
+    size_t nparts = ((size_t)b_bits + n - 1) / n;
+    size_t ngroups = (nparts + 7) / 8;
     Py_ssize_t acc_adds = 0;
-    for (size_t i = 0; i < n; i++) {
-        if (!patterns[i])
+    for (size_t i0 = 0; i0 < ncols; i0 += 8) {
+        uint64_t rows[(K_CEILING + 7) / 8] = {0};
+        unsigned nonzero = 0;
+        for (size_t j = 0; j < nparts; j++) {
+            unsigned part = bits8(b_bytes, j * n + i0);
+            rows[j / 8] |= (uint64_t)part << 8 * (j % 8);
+            nonzero |= part;
+        }
+        /* the last 8 may pass column n - 1 into the next part's bits */
+        if (ncols - i0 < 8)
+            nonzero &= (1u << (ncols - i0)) - 1;
+        if (!nonzero)
             continue;
-        add_lanes(cells + patterns[i] * cell_len + i / 32,
-                  copies + (i % 32) * (la + 1), la + 1);
-        filled[patterns[i]] = 1;
-        acc_adds++;
+        for (size_t g = 0; g < ngroups; g++)
+            rows[g] = transpose8(rows[g]);
+        for (; nonzero; nonzero &= nonzero - 1) {
+            unsigned t = (unsigned)__builtin_ctz(nonzero);
+            size_t pattern = 0;
+            for (size_t g = 0; g < ngroups; g++)
+                pattern |= (size_t)(rows[g] >> 8 * t & 0xFF) << 8 * g;
+            size_t i = i0 + t;
+            add_lanes(cells + pattern * cell_len + i / 32,
+                      copies + (i % 32) * (la + 1), la + 1);
+            filled[pattern] = 1;
+            acc_adds++;
+        }
     }
 
     /* combine: the decremental schedule of _corepy, 2 * (base - 1) adds

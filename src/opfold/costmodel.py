@@ -20,7 +20,6 @@ from math import ceil, floor
 
 from . import _kernel as _k
 from . import folding
-from .bitnum import BitNum
 
 DEFAULT_K_MAX = 8
 
@@ -171,20 +170,25 @@ def measure_mean(m, k, trials, seed):
     Trial t multiplies the two m-bit values _kernel.seeded_bits draws for
     entropy (seed, m, k, t), the pair a fresh default_rng([seed, m, k, t])
     gives on both kernel lanes, so results are independent of trial
-    ordering and batch size.
+    ordering and batch size. (m, k) is checked once, before any operand is
+    drawn, and every drawn value fits m bits, so each trial calls the fold
+    kernel on the ints directly and sums accumulate + combine + Horner
+    adds from its tuple: the ledger total folding.multiply would report,
+    without wrapping the operands or building the ledger.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    folding._validate_multiply(m, k)  # before any operand is drawn
+    folding._validate_multiply(m, k)
     total = 0
     total_sq = 0
     for t in range(trials):
-        a, b = _k.seeded_bits((seed, m, k, t), m, 2)
-        _, ledger = folding.multiply(BitNum._wrap(a), BitNum._wrap(b), m, k)
-        total += ledger.total
-        total_sq += ledger.total * ledger.total
+        _, acc, comb, horner, _, _ = _k.fold_multiply(
+            *_k.seeded_bits((seed, m, k, t), m, 2), m, k)
+        adds = acc + comb + horner
+        total += adds
+        total_sq += adds * adds
     mean = total / trials
     if trials > 1:
         var = (total_sq - trials * mean * mean) / (trials - 1)

@@ -32,9 +32,11 @@ from .bitnum import BitNum
 # before 1 << k.
 # The budget charges the 2**k - 1 cells only, nothing per column. Peak RSS
 # of one multiply above a fresh process's start (ru_maxrss, 2-CPU x86-64,
-# A all ones, every cell filled): compiled lane 166 MB at k = 1, m = 2**24
-# (charged 4.2 MB), mostly 32 pre-shifted copies of A in 64-bit lanes, and
-# 56 MB at k = 5, m = 3,000,000 (charged 14 MB); pure lane 272 MB and 31 MB,
+# A all ones, every cell filled once): compiled lane 158 MB at k = 1,
+# m = 2**24 (charged 4.2 MB), mostly 32 pre-shifted copies of A in 64-bit
+# lanes, and 53 MB at k = 5, m = 3,000,000 (charged 14 MB); 164 MB at
+# k = 1 when B's top bit is set, since the compiled lane reads B's columns
+# 8 at a time and keeps no per-column array; pure lane 272 MB and 31 MB,
 # the first mostly its per-column pattern array and list.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512

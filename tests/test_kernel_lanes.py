@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from opfold import _corepy, _kernel
-from opfold.bitnum import random_bitnums
+from opfold.bitnum import BitNum, random_bitnums
 from opfold.costmodel import measure_mean
 from opfold.density import bernoulli_block
-from opfold.folding import K_CEILING
+from opfold.folding import K_CEILING, multiply
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,6 +85,47 @@ def test_lanes_agree_on_mostly_empty_banks(corec):
                     b |= 1 << rng.randrange(j * n, min(j * n + n, m))
                 for a in (ones, rng.getrandbits(m)):
                     _check(corec, a, b, m, k)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1024, 4096])
+def test_column_read_matches_pure_lane(corec, m):
+    # k = 9..16 puts the parts in two groups of 8; a narrow b leaves the
+    # top parts empty
+    rng = random.Random(m)
+    ones = (1 << m) - 1
+    for k in range(1, 17):
+        n = -(-m // k)
+        for b in (rng.getrandbits(m), ones, rng.getrandbits(max(1, n // 2)),
+                  rng.getrandbits(min(m, n + 1)), 1 << (m - 1)):
+            _check(corec, rng.getrandbits(m), b, m, k)
+            _check(corec, ones, b, m, k)
+
+
+def test_column_read_at_every_part_offset(corec):
+    # n = 8q + r for every r, with m = k * n and with k not dividing m, so
+    # the top part is padded or empty; together the part boundaries j * n
+    # fall at every bit offset mod 8
+    rng = random.Random(1968)
+    offsets = set()
+    for r in range(8):
+        for q in (0, 1, 4):
+            n = 8 * q + r
+            if not n:
+                continue
+            for k in (2, 3, 8, 9, 12):
+                offsets.update(j * n % 8 for j in range(k))
+                for m in {k * n, k * n - 1, (n - 1) * k + 1} - {0}:
+                    assert -(-m // k) == n
+                    ones = (1 << m) - 1
+                    # the first and last column of every part, together
+                    # and, below 2**12 cells, alone
+                    edges = [1 << bit for j in range(k) if j * n < m
+                             for bit in (j * n, min(j * n + n, m) - 1)]
+                    alone = edges if k < 12 else []
+                    for b in (rng.getrandbits(m), ones, sum(set(edges)),
+                              *alone):
+                        _check(corec, rng.getrandbits(m) | 1, b, m, k)
+    assert offsets == set(range(8))
 
 
 def test_zero_multiplier_leaves_every_cell_empty(corec):
@@ -204,6 +245,34 @@ def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
                  for k in range(1, 9)], measure_mean(1024, 5, 1000, 2))
 
     assert means(corec) == means(_corepy)
+
+
+def _mean_stderr(totals):
+    """measure_mean's mean and stderr of the ledger totals, computed as it
+    computes them"""
+    trials = len(totals)
+    mean = sum(totals) / trials
+    if trials == 1:
+        return mean, 0.0
+    var = (sum(t * t for t in totals) - trials * mean * mean) / (trials - 1)
+    return mean, (max(var, 0.0) / trials) ** 0.5
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_measure_mean_is_the_mean_of_multiply_ledgers(lane, request,
+                                                     monkeypatch):
+    module = request.getfixturevalue("corec") if lane == "compiled" \
+        else _corepy
+    monkeypatch.setattr(_kernel, "fold_multiply", module.fold_multiply)
+    monkeypatch.setattr(_kernel, "seeded_bits", module.seeded_bits)
+    shapes = [(m, k, 3, 7) for m in range(1, 65) for k in range(1, 9)]
+    for m, k, trials, seed in [*shapes, (1024, 5, 200, 2)]:
+        totals = []
+        for t in range(trials):
+            a, b = module.seeded_bits((seed, m, k, t), m, 2)
+            totals.append(multiply(BitNum(a), BitNum(b), m, k)[1].total)
+        assert measure_mean(m, k, trials, seed) == _mean_stderr(totals), \
+            (m, k)
 
 
 def _baseline_cases():
