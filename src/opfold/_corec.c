@@ -5,16 +5,18 @@
    runs the same schedule, so products and ledgers are identical.
 
    Numbers are arrays of 32-bit limbs, lowest first, each held in a 64-bit
-   lane. A is shifted once into one copy per bit offset 0..31, each
-   len(A) + 1 limbs, and column i's accumulate step adds copy i % 32 at
-   limb i / 32 of its cell: no column shifts a full-width copy of A (the
-   classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1). A shifted
-   limb is read from its two source limbs, with no carry from the limb
-   before, so the shift loop vectorises. Accumulate and combine add lane
-   by lane and leave the carries in the lanes' upper halves; they are
-   resolved once per cell before the peak width and Horner read the
-   cells. Every buffer comes from one calloc sized from the operand
-   widths, n and k.
+   lane. add_shifted adds x << s, 0 <= s < 32, to a run of lanes, reading
+   each shifted limb from its two source limbs with no carry from the limb
+   before, so the loop vectorises. It builds copies 1..31 of A, each
+   shifted by its index, in the zeroed copy buffer (copy 0 is A; each copy
+   is len(A) + 1 limbs), and column i's accumulate step adds copy i % 32
+   at limb i / 32 of its cell: no column shifts a full-width copy of A
+   (the classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1).
+   Accumulate and combine add lane by lane and leave the carries in the
+   lanes' upper halves; they are resolved once per cell before the peak
+   and Horner read the cells, and Horner adds each part product into the
+   product with add_shifted. Every buffer comes from one calloc sized from
+   the operand widths, n and k.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
@@ -30,8 +32,8 @@
    skipped add would have added zero, so combine still counts every add
    of the schedule, 2**(k+1) - 2k - 2, as _corepy does. Resolve and peak
    visit filled cells only; unfilled ones stay zero, which Horner reads as
-   it is. The peak is the bit length of the widest cell: the one whose top
-   nonzero limb has the highest index and, among those, the largest value.
+   it is. The peak is the largest bit length of a filled cell, each read
+   from its top nonzero limb with __builtin_clzll.
 
    Every cell holds a sum of distinct accumulate terms, so it stays below
    A * 2**n and fits len(A) + ceil(n / 32) limbs, and each of its lanes
@@ -53,7 +55,9 @@
      a 128-bit LCG with inc = (s2 << 64 | s3) << 1 | 1, seeded as state =
      0, step, state += s0 << 64 | s1, step. Each output steps the state
      and returns its XSL-RR permutation: high half XOR low half, rotated
-     right by the state's top 6 bits.
+     right by the state's top 6 bits. The state is an unsigned __int128,
+     so the module needs a 64-bit gcc or clang; where it does not build,
+     setup.py installs without it and the pure lane runs.
    Generator.bytes keeps the little-endian bytes of those outputs, so
    value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
    and all values are cut from one buffer.
@@ -103,20 +107,19 @@ add_lanes(lane *restrict dst, const lane *restrict src, size_t len)
         dst[t] += src[t];
 }
 
-/* out[0 .. len] = x[0 .. len) << s for resolved limbs x and 0 <= s < 32;
-   each limb reads its two source limbs and carries nothing to the next,
-   so the loop vectorises */
+/* dst[0 .. len] += x[0 .. len) << s, lane by lane, for resolved limbs x
+   and 0 <= s < 32; each limb reads its two source limbs and carries
+   nothing to the next, so the loop vectorises */
 static void
-shift_into(lane *restrict out, const lane *restrict x, size_t len, unsigned s)
+add_shifted(lane *restrict dst, const lane *restrict x, size_t len,
+            unsigned s)
 {
-    if (!len) {
-        out[0] = 0;
+    if (!len)
         return;
-    }
-    out[0] = x[0] << s & LIMB_MASK;
+    dst[0] += x[0] << s & LIMB_MASK;
     for (size_t t = 1; t < len; t++)
-        out[t] = (x[t] << s & LIMB_MASK) | x[t - 1] << s >> 32;
-    out[len] = x[len - 1] << s >> 32;
+        dst[t] += (x[t] << s & LIMB_MASK) | x[t - 1] << s >> 32;
+    dst[len] += x[len - 1] << s >> 32;
 }
 
 /* The 8 bits of b from bit pos up; b holds at least pos / 8 + 2 bytes */
@@ -156,17 +159,13 @@ resolve(lane *x, size_t len)
     }
 }
 
+/* Bit length of resolved limbs x[0 .. len) */
 static Py_ssize_t
 bit_length(const lane *x, size_t len)
 {
     while (len && !x[len - 1])
         len--;
-    if (!len)
-        return 0;
-    Py_ssize_t bits = 32 * (Py_ssize_t)(len - 1);
-    for (lane top = x[len - 1]; top; top >>= 1)
-        bits++;
-    return bits;
+    return len ? 32 * (Py_ssize_t)len + 32 - __builtin_clzll(x[len - 1]) : 0;
 }
 
 /* Bit width of an operand: -1 with ValueError set unless 0 <= x < 2**m */
@@ -246,7 +245,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     size_t total = 0;
     if (reserve(&total, ncells, cell_len * sizeof(lane)) < 0
             || reserve(&total, ncopies, (la + 1) * sizeof(lane)) < 0
-            || reserve(&total, prod_len + cell_len + 1, sizeof(lane)) < 0
+            || reserve(&total, prod_len, sizeof(lane)) < 0
             || reserve(&total, 4 * (la + prod_len) + b_pad + ncells, 1) < 0)
         return PyErr_NoMemory();
     lane *cells = calloc(total, 1);
@@ -254,8 +253,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
         return PyErr_NoMemory();
     lane *copies = cells + ncells * cell_len;
     lane *prod = copies + ncopies * (la + 1);
-    lane *shifted = prod + prod_len;
-    unsigned char *a_bytes = (unsigned char *)(shifted + cell_len + 1);
+    unsigned char *a_bytes = (unsigned char *)(prod + prod_len);
     unsigned char *b_bytes = a_bytes + 4 * la;
     unsigned char *prod_bytes = b_bytes + b_pad;
     unsigned char *filled = prod_bytes + 4 * prod_len;
@@ -267,7 +265,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     for (size_t t = 0; t < la; t++)
         copies[t] = load_le32(a_bytes + 4 * t);
     for (size_t s = 1; s < ncopies; s++)
-        shift_into(copies + s * (la + 1), copies, la, (unsigned)s);
+        add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
 
     /* accumulate, 8 columns i0 .. i0 + 7 at a time. Column i's pattern has
        bit j set iff bit i of part j + 1, bit j*n + i of b, is set. Byte
@@ -326,32 +324,23 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
         comb_adds += 2 * (Py_ssize_t)(base - 1);
     }
 
-    /* peak: the widest filled cell has the highest top nonzero limb, and
-       among those the largest top limb */
-    const lane *widest = NULL;
-    size_t widest_len = 0;
+    /* peak: the largest bit length of a filled cell */
+    Py_ssize_t peak = 0;
     for (size_t v = 1; v < ncells; v++) {
         if (!filled[v])
             continue;
         lane *cell = cells + v * cell_len;
         resolve(cell, cell_len);
-        size_t len = cell_len;
-        while (len && !cell[len - 1])
-            len--;
-        if (len > widest_len || (len == widest_len && len
-                                 && cell[len - 1] > widest[len - 1])) {
-            widest = cell;
-            widest_len = len;
-        }
+        Py_ssize_t bits = bit_length(cell, cell_len);
+        if (bits > peak)
+            peak = bits;
     }
-    Py_ssize_t peak = bit_length(widest, widest_len);
 
     /* Horner: part product j + 1, in cell 2**j, added at bit offset j*n */
     for (size_t j = 0; j < (size_t)k; j++) {
         size_t off = j * n;
-        shift_into(shifted, cells + ((size_t)1 << j) * cell_len, cell_len,
-                   (unsigned)(off % 32));
-        add_lanes(prod + off / 32, shifted, cell_len + 1);
+        add_shifted(prod + off / 32, cells + ((size_t)1 << j) * cell_len,
+                    cell_len, (unsigned)(off % 32));
     }
     resolve(prod, prod_len);
     for (size_t t = 0; t < prod_len; t++)
@@ -374,9 +363,13 @@ done:
 #define MIX_MULT_L 0xca01f9ddu
 #define MIX_MULT_R 0x4973f715u
 
+/* PCG64's state and increment; __extension__ keeps a pedantic build
+   quiet about the GNU type */
+__extension__ typedef unsigned __int128 uint128;
+
 /* PCG's default 128-bit LCG multiplier */
-#define PCG_MULT_HI UINT64_C(0x2360ed051fc65da4)
-#define PCG_MULT_LO UINT64_C(0x4385df649fccf645)
+#define PCG_MULT ((uint128)UINT64_C(0x2360ed051fc65da4) << 64 \
+                  | UINT64_C(0x4385df649fccf645))
 
 typedef struct {
     uint32_t pool[POOL_SIZE];
@@ -454,53 +447,20 @@ done:
     return rc;
 }
 
-typedef struct {
-    uint64_t hi, lo;
-} u128;
-
-/* x * y as a 128-bit value */
-static u128
-mul_wide(uint64_t x, uint64_t y)
-{
-    uint64_t x0 = x & LIMB_MASK, x1 = x >> 32;
-    uint64_t y0 = y & LIMB_MASK, y1 = y >> 32;
-    uint64_t p00 = x0 * y0, p01 = x0 * y1, p10 = x1 * y0;
-    uint64_t mid = (p00 >> 32) + (p01 & LIMB_MASK) + (p10 & LIMB_MASK);
-    return (u128){x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32),
-                  mid << 32 | (p00 & LIMB_MASK)};
-}
-
-/* *x += y mod 2**128 */
-static void
-add_wide(u128 *x, u128 y)
-{
-    x->lo += y.lo;
-    x->hi += y.hi + (x->lo < y.lo);
-}
-
-/* One LCG step: state = state * multiplier + inc mod 2**128 */
-static void
-pcg_step(u128 *state, u128 inc)
-{
-    u128 next = mul_wide(state->lo, PCG_MULT_LO);
-    next.hi += state->hi * PCG_MULT_LO + state->lo * PCG_MULT_HI;
-    add_wide(&next, inc);
-    *state = next;
-}
-
-/* Step, then the XSL-RR output of the new state */
+/* One LCG step, state = state * multiplier + inc mod 2**128, then the
+   XSL-RR output of the new state */
 static uint64_t
-pcg_next(u128 *state, u128 inc)
+pcg_next(uint128 *state, uint128 inc)
 {
-    pcg_step(state, inc);
-    uint64_t x = state->hi ^ state->lo;
-    unsigned rot = (unsigned)(state->hi >> 58);
+    *state = *state * PCG_MULT + inc;
+    uint64_t hi = (uint64_t)(*state >> 64), x = hi ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(hi >> 58);
     return x >> rot | x << (-rot & 63);
 }
 
 /* PCG64 seeded from the pool as SeedSequence.generate_state(4, uint64) */
 static void
-pcg_seed(const seed_seq *s, u128 *state, u128 *inc)
+pcg_seed(const seed_seq *s, uint128 *state, uint128 *inc)
 {
     uint32_t hash = INIT_B;
     uint64_t w[4] = {0, 0, 0, 0};
@@ -510,11 +470,11 @@ pcg_seed(const seed_seq *s, u128 *state, u128 *inc)
         v *= hash;
         w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
     }
-    *inc = (u128){w[2] << 1 | w[3] >> 63, w[3] << 1 | 1};
-    *state = (u128){0, 0};
-    pcg_step(state, *inc);
-    add_wide(state, (u128){w[0], w[1]});
-    pcg_step(state, *inc);
+    *inc = ((uint128)w[2] << 64 | w[3]) << 1 | 1;
+    *state = 0;
+    pcg_next(state, *inc);
+    *state += (uint128)w[0] << 64 | w[1];
+    pcg_next(state, *inc);
 }
 
 static PyObject *
@@ -558,7 +518,7 @@ seeded_bits(PyObject *Py_UNUSED(module), PyObject *args)
         return PyErr_NoMemory();
     PyObject *result = PyTuple_New(count);
     if (result) {
-        u128 state, inc;
+        uint128 state, inc;
         pcg_seed(&s, &state, &inc);
         for (size_t t = 0; t < total; t += 8) {
             uint64_t x = pcg_next(&state, inc);
@@ -593,10 +553,6 @@ typedef struct bitgen {
 
 /* numpy.random.Generator, imported on the first bernoulli_bits call */
 static PyObject *generator_type;
-
-/* the names bernoulli_bits looks up on each call, interned at import */
-static PyObject *bit_generator_str, *capsule_str, *lock_str, *acquire_str,
-    *release_str;
 
 /* 1 if rng is a numpy.random.Generator, else 0 with TypeError set, or -1
    with the import's error set */
@@ -654,13 +610,13 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
     if (!data)
         return PyErr_NoMemory();
     PyObject *result = NULL, *lock = NULL, *capsule = NULL;
-    PyObject *bit_generator = PyObject_GetAttr(rng, bit_generator_str);
+    PyObject *bit_generator = PyObject_GetAttrString(rng, "bit_generator");
     if (!bit_generator
-            || !(capsule = PyObject_GetAttr(bit_generator, capsule_str))
-            || !(lock = PyObject_GetAttr(bit_generator, lock_str)))
+            || !(capsule = PyObject_GetAttrString(bit_generator, "capsule"))
+            || !(lock = PyObject_GetAttrString(bit_generator, "lock")))
         goto done;
     bitgen_t *bitgen = PyCapsule_GetPointer(capsule, "BitGenerator");
-    PyObject *held = bitgen ? PyObject_CallMethodNoArgs(lock, acquire_str)
+    PyObject *held = bitgen ? PyObject_CallMethod(lock, "acquire", NULL)
                             : NULL;
     if (!held)
         goto done;
@@ -676,7 +632,7 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
         store_le32(data + 8 * w + 4, (uint32_t)(word >> 32));
     }
     Py_END_ALLOW_THREADS
-    PyObject *released = PyObject_CallMethodNoArgs(lock, release_str);
+    PyObject *released = PyObject_CallMethod(lock, "release", NULL);
     if (released) {
         Py_DECREF(released);
         result = _PyLong_FromByteArray(data, 8 * nwords, 1, 0);
@@ -721,12 +677,7 @@ PyMODINIT_FUNC
 PyInit__corec(void)
 {
     PyObject *module = PyModule_Create(&corec_module);
-    if (module && (PyModule_AddIntMacro(module, K_CEILING) < 0
-            || !(bit_generator_str = PyUnicode_InternFromString("bit_generator"))
-            || !(capsule_str = PyUnicode_InternFromString("capsule"))
-            || !(lock_str = PyUnicode_InternFromString("lock"))
-            || !(acquire_str = PyUnicode_InternFromString("acquire"))
-            || !(release_str = PyUnicode_InternFromString("release"))))
+    if (module && PyModule_AddIntMacro(module, K_CEILING) < 0)
         Py_CLEAR(module);
     return module;
 }

@@ -146,6 +146,17 @@ def test_peak_compares_top_limbs_of_equal_index(corec, b):
     assert result[5] == 41
 
 
+def test_peak_at_every_top_limb_width(corec):
+    # b = 1 leaves A alone in cell 1, so the peak is A's width w, read from
+    # a top limb holding every width 1..32 of its bits at limbs 0..4
+    for w in range(1, 131):
+        for a in ((1 << w) - 1, 1 << (w - 1)):
+            for k in range(1, 5):
+                result = corec.fold_multiply(a, 1, w, k)
+                assert result == _corepy.fold_multiply(a, 1, w, k), (a, k)
+                assert result[5] == w, (a, k)
+
+
 def test_lanes_take_numpy_int_m_and_k(corec):
     a, b = (1 << 100) - 1, (1 << 100) - 3
     expected = corec.fold_multiply(a, b, 100, 3)
@@ -307,9 +318,11 @@ def test_baselines_on_both_lanes(lane, request, monkeypatch):
     ([[1, 2]], TypeError), (["12"], TypeError), ([1.5], TypeError),
     ({1: 2}, TypeError), ({3}, TypeError), ([-1], ValueError),
     (range(3), (0, 1, 2)), (np.array([1, 2]), (1, 2)),
-    (np.uint64(7), (7,)),
+    (np.uint64(7), (7,)), ([2**200 + 5], (2**200 + 5,)),
+    ([1, 2**1000 - 1, 3], (1, 2**1000 - 1, 3)), (2**4096 - 7, (2**4096 - 7,)),
 ], ids=["none", "str", "bytes", "nested", "str-entry", "float-entry",
-        "dict", "set", "negative-entry", "range", "ndarray", "numpy-int"])
+        "dict", "set", "negative-entry", "range", "ndarray", "numpy-int",
+        "200-bit-entry", "1000-bit-middle-entry", "4096-bit-int"])
 def test_lanes_accept_the_same_entropy(corec, entropy, expected):
     # expected: the exception type both lanes raise, or the entries both
     # lanes read the entropy as
