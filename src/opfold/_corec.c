@@ -551,8 +551,11 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* numpy.random.Generator, imported on the first bernoulli_bits call */
-static PyObject *generator_type;
+/* numpy.random.Generator and the names bernoulli_bits looks up, made on
+   its first call. The names are interned, so each lookup hits the type's
+   attribute cache; a name made from a C string per call misses it */
+static PyObject *generator_type, *bit_generator_str, *capsule_str, *lock_str,
+                *acquire_str, *release_str;
 
 /* 1 if rng is a numpy.random.Generator, else 0 with TypeError set, or -1
    with the import's error set */
@@ -560,6 +563,12 @@ static int
 check_generator(PyObject *rng)
 {
     if (!generator_type) {
+        if (!(bit_generator_str = PyUnicode_InternFromString("bit_generator"))
+                || !(capsule_str = PyUnicode_InternFromString("capsule"))
+                || !(lock_str = PyUnicode_InternFromString("lock"))
+                || !(acquire_str = PyUnicode_InternFromString("acquire"))
+                || !(release_str = PyUnicode_InternFromString("release")))
+            return -1;
         PyObject *random = PyImport_ImportModule("numpy.random");
         if (!random)
             return -1;
@@ -610,13 +619,13 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
     if (!data)
         return PyErr_NoMemory();
     PyObject *result = NULL, *lock = NULL, *capsule = NULL;
-    PyObject *bit_generator = PyObject_GetAttrString(rng, "bit_generator");
+    PyObject *bit_generator = PyObject_GetAttr(rng, bit_generator_str);
     if (!bit_generator
-            || !(capsule = PyObject_GetAttrString(bit_generator, "capsule"))
-            || !(lock = PyObject_GetAttrString(bit_generator, "lock")))
+            || !(capsule = PyObject_GetAttr(bit_generator, capsule_str))
+            || !(lock = PyObject_GetAttr(bit_generator, lock_str)))
         goto done;
     bitgen_t *bitgen = PyCapsule_GetPointer(capsule, "BitGenerator");
-    PyObject *held = bitgen ? PyObject_CallMethod(lock, "acquire", NULL)
+    PyObject *held = bitgen ? PyObject_CallMethodNoArgs(lock, acquire_str)
                             : NULL;
     if (!held)
         goto done;
@@ -632,7 +641,7 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
         store_le32(data + 8 * w + 4, (uint32_t)(word >> 32));
     }
     Py_END_ALLOW_THREADS
-    PyObject *released = PyObject_CallMethod(lock, "release", NULL);
+    PyObject *released = PyObject_CallMethodNoArgs(lock, release_str);
     if (released) {
         Py_DECREF(released);
         result = _PyLong_FromByteArray(data, 8 * nwords, 1, 0);

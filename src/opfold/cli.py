@@ -1,14 +1,17 @@
 """Command-line front end: reproduction runs and CSV/table emission.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error. Seeded commands
-take --seed (default 0).
+One table, COMMANDS, gives each command its handler, help line and options,
+and both the parser and --help read it. Options are `--name value` or
+`--name=value`, exact names only; the last of a repeated option wins, and
+the word after an option is always its value. Exit codes: 0 success,
+2 validation error (a command-line fault included), 3 I/O error. Seeded
+commands take --seed (default 0).
 """
 
-import argparse
 import csv
-import functools
 import io
 import sys
+from types import SimpleNamespace
 
 from . import costmodel, density, folding, hdlgen
 from ._kernel import KERNEL_NAME
@@ -157,82 +160,154 @@ def _cmd_hdl(args):
     return hdlgen.emit(config)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="opfold",
-        description="Instrumented operand-folding multiplication models "
-                    f"(kernel lane: {KERNEL_NAME}).")
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option whose default is REQUIRED must be given.
+REQUIRED = object()
 
-    def add_common(p, fmt_default="csv"):
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "pretty-table"),
-                       default=fmt_default)
-
-    for name, func, text in (
-            ("multiply", _cmd_multiply, "one folded product with its ledger"),
-            ("trace", _cmd_trace, "phase-by-phase multiply snapshot")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--a", required=True,
-                       help="multiplicand (0b/0x/decimal)")
-        p.add_argument("--b", required=True,
-                       help="multiplier (0b/0x/decimal)")
-        p.add_argument("--m", type=int, help="operand width (default: fit B)")
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--out")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("bench", help="predicted vs measured addition counts")
-    p.add_argument("--m-range", required=True, help="lo:hi[:step] or list")
-    p.add_argument("--k-range", default="1:8")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("table", help="optimal-degree operating ranges")
-    add_common(p, fmt_default="pretty-table")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("optk", help="cheapest folding degree for a width")
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-range")
-    p.add_argument("--k-max", type=int, default=costmodel.DEFAULT_K_MAX)
-    add_common(p)
-    p.set_defaults(func=_cmd_optk)
-
-    p = sub.add_parser("density", help="splitting-gain and density series")
-    p.add_argument("--series", choices=("gain", "density"), default="gain")
-    p.add_argument("--b", type=int, default=4096, help="block length")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--delta0", type=float, default=0.5)
-    p.add_argument("--mode", choices=density.MODES)
-    p.add_argument("--exact-weight", action="store_true",
-                   help="sample blocks of exact weight round(delta0*b)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("hdl", help="emit multiplier HDL text")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--entity", default="Mult_Entity")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hdl)
-
-    return parser
+_OUT = ("out", str, None, "output path (default: stdout)")
 
 
-@functools.cache
-def _parser():
-    """The process-wide parser; it holds no per-call state."""
-    return build_parser()
+def _rendered(fmt_default="csv"):
+    return (("format", ("csv", "pretty-table"), fmt_default, "renderer"),
+            _OUT)
+
+
+_OPERANDS = (
+    ("a", str, REQUIRED, "multiplicand (0b/0x/decimal)"),
+    ("b", str, REQUIRED, "multiplier (0b/0x/decimal)"),
+    ("m", int, None, "operand width (default: fit B)"),
+    ("k", int, 2, "folding degree"),
+    _OUT,
+)
+
+# command: (handler, help line, options). An option is (name, type, default,
+# help); its type is int, float, str, a tuple of choices, or bool for a flag
+# that takes no value and sets True. A handler reads option --x-y as x_y.
+COMMANDS = {
+    "multiply": (_cmd_multiply, "one folded product with its ledger",
+                 _OPERANDS),
+    "trace": (_cmd_trace, "phase-by-phase multiply snapshot", _OPERANDS),
+    "bench": (_cmd_bench, "predicted vs measured addition counts", (
+        ("m-range", str, REQUIRED, "lo:hi[:step] or list"),
+        ("k-range", str, "1:8", "lo:hi[:step] or list"),
+        ("trials", int, 100, "random multiplies per point"),
+        ("seed", int, 0, "RNG seed"),
+    ) + _rendered()),
+    "table": (_cmd_table, "optimal-degree operating ranges",
+              _rendered("pretty-table")),
+    "optk": (_cmd_optk, "cheapest folding degree for a width", (
+        ("m", int, None, "one operand width"),
+        ("m-range", str, None, "widths, lo:hi[:step] or list"),
+        ("k-max", int, costmodel.DEFAULT_K_MAX, "largest degree tried"),
+    ) + _rendered()),
+    "density": (_cmd_density, "splitting-gain and density series", (
+        ("series", ("gain", "density"), "gain", "which series"),
+        ("b", int, 4096, "block length"),
+        ("depth", int, 8, "splitting depth"),
+        ("delta0", float, 0.5, "initial bit density"),
+        ("mode", density.MODES, None, "gain accounting (gain series only)"),
+        ("exact-weight", bool, False,
+         "sample blocks of exact weight round(delta0*b)"),
+        ("trials", int, 100, "random blocks per row"),
+        ("seed", int, 0, "RNG seed"),
+    ) + _rendered()),
+    "hdl": (_cmd_hdl, "emit multiplier HDL text", (
+        ("m", int, REQUIRED, "operand width"),
+        ("k", int, REQUIRED, "folding degree"),
+        ("entity", str, "Mult_Entity", "VHDL entity name"),
+        _OUT,
+    )),
+}
+
+# per command: {"--x-y": ("x_y", type)} and the fields' defaults
+_LOOKUP = {
+    command: ({"--" + name: (name.replace("-", "_"), kind)
+               for name, kind, _, _ in options},
+              {name.replace("-", "_"): default
+               for name, _, default, _ in options})
+    for command, (_, _, options) in COMMANDS.items()}
+_HELP = ("-h", "--help")
+
+
+def _cmd_help(args):
+    """The top-level help, or the options of args.command."""
+    if args.command is None:
+        lines = ["usage: opfold <command> [options]", "",
+                 "Instrumented operand-folding multiplication models "
+                 f"(kernel lane: {KERNEL_NAME}).", "", "commands:"]
+        lines += [f"  {name:<10}{text}"
+                  for name, (_, text, _) in COMMANDS.items()]
+        lines += ["", "opfold <command> --help lists its options."]
+        return "\n".join(lines) + "\n"
+    _, text, options = COMMANDS[args.command]
+    lines = [f"usage: opfold {args.command} [options]", "", text, "",
+             "options:"]
+    for name, kind, default, note in options:
+        if kind is bool:
+            value = ""
+        elif isinstance(kind, tuple):
+            value = " {" + ",".join(kind) + "}"
+        else:
+            value = " " + kind.__name__.upper()
+        if default is REQUIRED:
+            note += " (required)"
+        elif default is not None and kind is not bool:
+            note += f" (default: {default})"
+        lines.append(f"  --{name}{value}\n      {note}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv):
+    """The namespace a handler reads: option fields, `command` and `func`.
+
+    `--name value` or `--name=value`, exact names only; the last of a
+    repeated option wins, and the word after an option is always its value.
+    Any fault raises ValueError. -h or --help selects _cmd_help.
+    """
+    if not argv:
+        raise ValueError("missing command; opfold --help lists them")
+    command = argv[0]
+    if command in _HELP:
+        return SimpleNamespace(func=_cmd_help, command=None, out=None)
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}, expected one of "
+                         f"{', '.join(COMMANDS)}")
+    kinds, defaults = _LOOKUP[command]
+    values = {**defaults, "command": command, "func": COMMANDS[command][0]}
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            return SimpleNamespace(func=_cmd_help, command=command, out=None)
+        flag, eq, text = word.partition("=")
+        if flag not in kinds:
+            raise ValueError(f"{command} has no option {flag!r}")
+        dest, kind = kinds[flag]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            values[dest] = True
+            continue
+        if not eq and (text := next(words, None)) is None:
+            raise ValueError(f"{flag} needs a value")
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ValueError(f"{flag} must be one of {', '.join(kind)}, "
+                                 f"got {text!r}")
+            values[dest] = text
+        else:
+            try:
+                values[dest] = kind(text)
+            except ValueError:
+                raise ValueError(f"{flag}: invalid {kind.__name__} value "
+                                 f"{text!r}") from None
+    for dest, value in values.items():
+        if value is REQUIRED:
+            raise ValueError(f"{command} needs --{dest.replace('_', '-')}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         _write_output(args.func(args), args.out)
         return 0
     except (ValueError, UnderflowError) as exc:

@@ -49,8 +49,8 @@ def phase_constant(k):
 def f_avg(m, k):
     """Expected additions for uniform random operands, exact rational."""
     _check(m, k)
-    n = -(-m // k)
-    return Fraction((1 << k) - 1, 1 << k) * n + phase_constant(k)
+    return Fraction(((1 << k) - 1) * -(-m // k) + (phase_constant(k) << k),
+                    1 << k)
 
 
 def f_wst(m, k):

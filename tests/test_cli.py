@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from opfold import cli
+from opfold._kernel import KERNEL_NAME
 from opfold.hdlgen import HdlConfig, emit
 
 
@@ -319,34 +320,6 @@ def test_out_path_io_failure_exits_3(tmp_path, capsys):
 
 # --- seeding ---------------------------------------------------------------------
 
-def test_main_reuses_one_parser(monkeypatch, capsys):
-    built = []
-
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
-
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    cli._parser.cache_clear()
-    argv = ["bench", "--m-range", "64", "--k-range", "3", "--trials", "5"]
-    rc, first, _ = run(capsys, argv + ["--seed", "4"])
-    assert rc == 0
-    rc, second, _ = run(capsys, argv + ["--seed", "4"])
-    assert rc == 0
-    rc, unseeded, _ = run(capsys, argv)
-    assert rc == 0
-    assert len(built) == 1
-    # a parser built fresh for the call gives the same bytes
-    monkeypatch.setattr(cli, "_parser", build_parser)
-    rc, fresh, _ = run(capsys, argv + ["--seed", "4"])
-    assert rc == 0
-    assert first == second == fresh
-    rc, fresh_unseeded, _ = run(capsys, argv)
-    assert rc == 0
-    assert unseeded == fresh_unseeded != first
-
-
 @pytest.mark.parametrize("argv", [
     ["bench", "--m-range", "16", "--trials", "2", "--seed", "-1"],
     ["density", "--b", "64", "--depth", "2", "--trials", "2", "--seed", "-1"],
@@ -366,6 +339,129 @@ def test_default_seed_is_zero(capsys):
     rc, out_nine, _ = run(capsys, argv + ["--seed", "9"])
     assert rc == 0
     assert out_default == out_zero != out_nine
+
+
+# --- parsing ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command; opfold --help lists them"),
+    (["frobnicate"], "unknown command 'frobnicate', expected one of "
+                     "multiply, trace, bench, table, optk, density, hdl"),
+    (["bench", "--m-range", "16", "--bogus", "1"],
+     "bench has no option '--bogus'"),
+    (["bench", "--m-range", "16", "--bogus=1"],
+     "bench has no option '--bogus'"),
+    (["bench", "--m-range", "16", "--trial", "1"],
+     "bench has no option '--trial'"),
+    (["bench", "--m-range", "16", "5"], "bench has no option '5'"),
+    (["bench", "--m-range"], "--m-range needs a value"),
+    (["bench", "--trials", "3"], "bench needs --m-range"),
+    (["hdl", "--m", "32"], "hdl needs --k"),
+    (["bench", "--m-range", "16", "--trials", "many"],
+     "--trials: invalid int value 'many'"),
+    (["bench", "--m-range", "16", "--seed="], "--seed: invalid int value ''"),
+    (["density", "--delta0", "half"], "--delta0: invalid float value 'half'"),
+    (["table", "--format", "json"],
+     "--format must be one of csv, pretty-table, got 'json'"),
+    (["density", "--mode=all"],
+     "--mode must be one of nodes-only, full-recursive, got 'all'"),
+    (["density", "--exact-weight=yes"], "--exact-weight takes no value"),
+], ids=["no-command", "unknown-command", "unknown-option",
+        "unknown-option-equals", "prefix", "stray-word", "missing-value",
+        "missing-required", "missing-required-hdl", "bad-int",
+        "empty-int", "bad-float", "bad-choice", "bad-choice-equals",
+        "flag-with-value"])
+def test_command_line_fault_exits_2_with_one_error_line(argv, message,
+                                                        capsys):
+    try:
+        rc, out, err = run(capsys, argv)
+    except SystemExit as exc:  # pragma: no cover - the failure being tested
+        pytest.fail(f"SystemExit({exc.code}) escaped cli.main")
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["bench", "--m-range", "64", "--k-range", "2:3", "--trials", "5",
+      "--seed", "4"],
+     ["bench", "--m-range=64", "--k-range=2:3", "--trials=5", "--seed=4"]),
+    (["density", "--series", "density", "--b", "64", "--depth", "2",
+      "--trials", "4", "--delta0", "0.25"],
+     ["density", "--series=density", "--b=64", "--depth=2", "--trials=4",
+      "--delta0=0.25"]),
+    (["multiply", "--a", "0b1", "--b", "0b101010100011", "--m", "12"],
+     ["multiply", "--a=0b1", "--b=0b101010100011", "--m=12"]),
+], ids=["bench", "density", "multiply"])
+def test_equals_form_gives_the_same_bytes(spaced, joined, capsys):
+    rc, out, err = run(capsys, spaced)
+    assert rc == 0 and err == ""
+    assert run(capsys, joined) == (0, out, "")
+
+
+def test_repeated_option_last_value_wins(capsys):
+    argv = ["bench", "--m-range", "64", "--k-range", "2", "--trials", "5"]
+    rc, out, _ = run(capsys, argv + ["--seed", "3"])
+    assert rc == 0
+    assert run(capsys, argv + ["--seed", "8", "--seed=3"]) == (0, out, "")
+    assert run(capsys, ["bench", "--m-range", "9", "--trials", "1"] + argv[1:]
+               + ["--seed", "3"]) == (0, out, "")
+
+
+def test_value_may_start_with_a_dash(capsys):
+    # the word after an option is its value, so the option's own check runs
+    rc, out, err = run(capsys, ["bench", "--m-range", "16", "--seed", "-1"])
+    assert (rc, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+    rc, out, err = run(capsys, ["density", "--b", "-4"])
+    assert (rc, out) == (2, "")
+    assert err == "error: block length must be >= 1, got -4\n"
+    # an option name is a value too, and fails that value's own check
+    rc, out, err = run(capsys, ["bench", "--trials", "1", "--m-range",
+                                "--seed"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "'--seed'" in err
+
+
+def test_top_level_help_names_the_lane_and_every_command(capsys):
+    for flag in ("--help", "-h"):
+        rc, out, err = run(capsys, [flag])
+        assert rc == 0 and err == ""
+        assert f"(kernel lane: {KERNEL_NAME})" in out
+        for command, (_, text, _) in cli.COMMANDS.items():
+            assert f"  {command}" in out and text in out
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_lists_every_option(command, capsys):
+    rc, out, err = run(capsys, [command, "--help"])
+    assert rc == 0 and err == ""
+    assert out.startswith(f"usage: opfold {command} [options]\n")
+    for name, _, _, note in cli.COMMANDS[command][2]:
+        assert f"  --{name}" in out and note in out
+    # help wins over a missing required option, as it is read first
+    assert run(capsys, [command, "-h"]) == (0, out, "")
+
+
+def test_bench_help_marks_required_and_defaults(capsys):
+    rc, out, _ = run(capsys, ["bench", "--help"])
+    assert rc == 0
+    assert "--m-range STR\n      lo:hi[:step] or list (required)\n" in out
+    assert "--trials INT\n      random multiplies per point (default: 100)" \
+        in out
+    assert "--format {csv,pretty-table}\n" in out
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["opfold", "optk", "--m", "1024"])
+    assert run(capsys, None) == (0, "5\n", "")
+
+
+def test_parse_gives_the_fields_the_handlers_read():
+    args = cli._parse(["density", "--exact-weight", "--b", "64"])
+    assert vars(args) == {
+        "series": "gain", "b": 64, "depth": 8, "delta0": 0.5, "mode": None,
+        "exact_weight": True, "trials": 100, "seed": 0, "format": "csv",
+        "out": None, "command": "density", "func": cli._cmd_density}
 
 
 # --- byte stability ---------------------------------------------------------
