@@ -68,7 +68,12 @@
    generator's lock and not the GIL, as Generator.random does. So on every
    numpy bit generator the value and the state left behind are the pure
    lane's, and the draw needs b / 8 bytes, where the pure lane holds a
-   float64 and a bool per bit. */
+   float64 and a bool per bit.
+
+   fold_multiply, seeded_bits and bernoulli_bits are vectorcall entry
+   points (METH_FASTCALL, PEP 590): each reads its arguments from the
+   caller's array, and fold_multiply builds its result with PyTuple_New,
+   so a call makes no argument tuple and parses no format string. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -208,14 +213,54 @@ reserve(size_t *total, size_t count, size_t size)
     return 0;
 }
 
-static PyObject *
-fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
+/* The entry points check their arguments as PyArg_ParseTuple did, with
+   the same exception types: TypeError for a wrong count or an operand that
+   is not an int (a bool or other int subclass passes, as "O!" with
+   PyLong_Type passed), TypeError for a size without __index__ and
+   OverflowError for one past Py_ssize_t. */
+
+/* 0, or -1 with TypeError set unless nargs == want */
+static int
+check_nargs(const char *func, Py_ssize_t nargs, Py_ssize_t want)
 {
-    PyObject *a, *b;
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments "
+                 "(%zd given)", func, want, nargs);
+    return -1;
+}
+
+/* 0, or -1 with TypeError set unless args[i] is an int */
+static int
+int_arg(const char *func, PyObject *const *args, int i)
+{
+    if (PyLong_Check(args[i]))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() argument %d must be int, not %.50s",
+                 func, i + 1, Py_TYPE(args[i])->tp_name);
+    return -1;
+}
+
+/* *out = x through __index__, as "n" read it: 0, or -1 with an exception
+   set */
+static int
+ssize_arg(PyObject *x, Py_ssize_t *out)
+{
+    *out = PyNumber_AsSsize_t(x, PyExc_OverflowError);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
+              Py_ssize_t nargs)
+{
     Py_ssize_t m, k;
-    if (!PyArg_ParseTuple(args, "O!O!nn:fold_multiply", &PyLong_Type, &a,
-                          &PyLong_Type, &b, &m, &k))
+    if (check_nargs("fold_multiply", nargs, 4) < 0
+            || int_arg("fold_multiply", args, 0) < 0
+            || int_arg("fold_multiply", args, 1) < 0
+            || ssize_arg(args[2], &m) < 0 || ssize_arg(args[3], &k) < 0)
         return NULL;
+    PyObject *a = args[0], *b = args[1];
     if (k < 1 || k > K_CEILING) {
         PyErr_Format(PyExc_ValueError, "k must be in 1..%d, got %zd",
                      K_CEILING, k);
@@ -345,10 +390,23 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *args)
     resolve(prod, prod_len);
     for (size_t t = 0; t < prod_len; t++)
         store_le32(prod_bytes + 4 * t, (uint32_t)prod[t]);
+    /* (product, *counts); a failed tuple frees the slots it filled */
     PyObject *product = _PyLong_FromByteArray(prod_bytes, 4 * prod_len, 1, 0);
-    if (product)
-        result = Py_BuildValue("(Nnnnnn)", product, acc_adds, comb_adds,
-                               k - 1, (Py_ssize_t)n + k - 1, peak);
+    if (!product || !(result = PyTuple_New(6))) {
+        Py_XDECREF(product);
+        goto done;
+    }
+    PyTuple_SET_ITEM(result, 0, product);
+    Py_ssize_t counts[] = {acc_adds, comb_adds, k - 1, (Py_ssize_t)n + k - 1,
+                           peak};
+    for (int i = 0; i < 5; i++) {
+        PyObject *x = PyLong_FromSsize_t(counts[i]);
+        if (!x) {
+            Py_CLEAR(result);
+            break;
+        }
+        PyTuple_SET_ITEM(result, i + 1, x);
+    }
 done:
     free(cells);
     return result;
@@ -478,12 +536,14 @@ pcg_seed(const seed_seq *s, uint128 *state, uint128 *inc)
 }
 
 static PyObject *
-seeded_bits(PyObject *Py_UNUSED(module), PyObject *args)
+seeded_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
+            Py_ssize_t nargs)
 {
-    PyObject *entropy;
     Py_ssize_t m, count;
-    if (!PyArg_ParseTuple(args, "Onn:seeded_bits", &entropy, &m, &count))
+    if (check_nargs("seeded_bits", nargs, 3) < 0
+            || ssize_arg(args[1], &m) < 0 || ssize_arg(args[2], &count) < 0)
         return NULL;
+    PyObject *entropy = args[0];
     seed_seq s = {.hash = INIT_A};
     if (PySequence_Check(entropy)) {
         PyObject *seq = PySequence_Fast(entropy, "entropy must be a sequence");
@@ -593,12 +653,14 @@ check_generator(PyObject *rng)
    u < float(delta). Each 64 of them are or-ed into one word, without a
    branch */
 static PyObject *
-bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *args)
+bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
+               Py_ssize_t nargs)
 {
-    PyObject *rng, *delta_arg;
     Py_ssize_t b;
-    if (!PyArg_ParseTuple(args, "OnO:bernoulli_bits", &rng, &b, &delta_arg))
+    if (check_nargs("bernoulli_bits", nargs, 3) < 0
+            || ssize_arg(args[1], &b) < 0)
         return NULL;
+    PyObject *rng = args[0], *delta_arg = args[2];
     if (check_generator(rng) <= 0)
         return NULL;
     if (b < 0) {
@@ -655,17 +717,20 @@ done:
 }
 
 static PyMethodDef corec_methods[] = {
-    {"fold_multiply", fold_multiply, METH_VARARGS,
+    {"fold_multiply", (PyCFunction)(void (*)(void))fold_multiply,
+     METH_FASTCALL,
      "fold_multiply(a, b, m, k)\n--\n\n"
      "Fused folded multiply of ints 0 <= a, b < 2**m with 1 <= k <= 27.\n"
      "Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,\n"
      "peak_cell_bits), as _corepy.fold_multiply does."},
-    {"seeded_bits", seeded_bits, METH_VARARGS,
+    {"seeded_bits", (PyCFunction)(void (*)(void))seeded_bits,
+     METH_FASTCALL,
      "seeded_bits(entropy, m, count)\n--\n\n"
      "count ints of m uniform bits from numpy's SeedSequence/PCG64 stream\n"
      "for entropy, an int or a sequence of ints >= 0, as\n"
      "_corepy.seeded_bits returns them."},
-    {"bernoulli_bits", bernoulli_bits, METH_VARARGS,
+    {"bernoulli_bits", (PyCFunction)(void (*)(void))bernoulli_bits,
+     METH_FASTCALL,
      "bernoulli_bits(rng, b, delta)\n--\n\n"
      "Int whose bit i is set iff the i-th of b doubles that numpy Generator\n"
      "rng.random(b) would draw is below delta, as _corepy.bernoulli_bits\n"

@@ -37,8 +37,8 @@ the pure lane performs every add. Both count the whole schedule, so the
 ledgers agree. On either lane fold_multiply(a, b,
 m, k) returns (product, accumulate_adds, combine_adds, horner_adds,
 shifts, peak_cell_bits): after the product come folding.CostLedger's
-fields in declared order, and folding.multiply builds the ledger from
-them positionally. shifts is the model's n column shifts plus k - 1
+fields in declared order, which folding.multiply unpacks by name into
+its ledger. shifts is the model's n column shifts plus k - 1
 Horner shifts.
 """
 
@@ -62,7 +62,7 @@ __all__ = ["KERNEL_NAME", "KERNEL_REASON", "bernoulli_bits",
 
 def classical_multiply(a, b):
     """Shift-and-add product on the chosen lane; returns (product, adds)."""
-    return fold_multiply(a, b, max(a.bit_length(), b.bit_length(), 1), 1)[:2]
+    return fold_multiply(a, b, (a | b).bit_length() or 1, 1)[:2]
 
 
 def csd_multiply(a, b):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel as _k
+from . import folding
 from .bitnum import BitNum
 
 
@@ -62,9 +63,17 @@ class SignedDigitString:
         return BitNum(self.plus) - BitNum(self.minus)
 
 
+def _check_width(width):
+    """Refuse a k = 1 fold of width bits that folding.multiply refuses."""
+    if width > folding._M_MAX[1]:
+        folding._validate_multiply(width, 1)
+
+
 def classical_multiply(A, B):
     """Accumulate-and-add product; count = weight(B) exactly."""
-    product, count = _k.classical_multiply(A.to_int(), B.to_int())
+    a, b = A._value, B._value
+    _check_width((a | b).bit_length())
+    product, count = _k.classical_multiply(a, b)
     return BitNum._wrap(product), count
 
 
@@ -80,5 +89,10 @@ def csd_multiply(A, B):
     sum and the -1 digits' terms in another, and one uncounted
     subtraction joins them, so the result never underflows.
     """
-    product, count = _k.csd_multiply(A.to_int(), B.to_int())
+    a, b = A._value, B._value
+    # the widest multiplier folded is the NAF's +1 mask, whose top bit is
+    # that of b + (b >> 1) (naf_masks): one bit over b's when that sum
+    # carries out
+    _check_width((a | b + (b >> 1)).bit_length())
+    product, count = _k.csd_multiply(a, b)
     return BitNum._wrap(product), count

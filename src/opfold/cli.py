@@ -22,22 +22,39 @@ from .bitnum import BitNum, UnderflowError
 MAX_GRID_POINTS = 4096
 
 
-def _parse_range(text):
+def _bad_range(text, flag):
+    return f"bad range {text!r}" + (f" for {flag}" if flag else "")
+
+
+def _range_int(field, text, flag):
+    """int(field), refused by a message that names the range and flag."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(_bad_range(text, flag)) from None
+
+
+def _parse_range(text, flag=None):
     """"lo:hi[:step]" (inclusive) as a range, or a comma list of ints.
 
-    Either form is refused past MAX_GRID_POINTS before any point runs.
+    Either form is refused past MAX_GRID_POINTS before any point runs. A
+    malformed range is refused by a message that names flag, the option it
+    came from, when one is given.
     """
     if ":" in text:
         fields = text.split(":")
         if len(fields) not in (2, 3):
-            raise ValueError(f"bad range {text!r}, expected lo:hi[:step]")
-        lo, hi = int(fields[0]), int(fields[1])
-        step = int(fields[2]) if len(fields) == 3 else 1
+            raise ValueError(
+                f"{_bad_range(text, flag)}, expected lo:hi[:step]")
+        lo = _range_int(fields[0], text, flag)
+        hi = _range_int(fields[1], text, flag)
+        step = _range_int(fields[2], text, flag) if len(fields) == 3 else 1
         if step < 1 or hi < lo:
-            raise ValueError(f"bad range {text!r}")
+            raise ValueError(_bad_range(text, flag))
         values = range(lo, hi + 1, step)
     else:
-        values = [int(f) for f in text.split(",") if f.strip() != ""]
+        values = [_range_int(f, text, flag) for f in text.split(",")
+                  if f.strip() != ""]
         if not values:
             raise ValueError(f"empty range {text!r}")
     if len(values) > MAX_GRID_POINTS:
@@ -110,8 +127,8 @@ def _cmd_trace(args):
 
 
 def _cmd_bench(args):
-    m_values = _parse_range(args.m_range)
-    k_values = _parse_range(args.k_range)
+    m_values = _parse_range(args.m_range, "--m-range")
+    k_values = _parse_range(args.k_range, "--k-range")
     rows = costmodel.sweep(m_values, k_values, args.trials, args.seed)
     return _render_rows(costmodel.SWEEP_COLUMNS, rows, args.format,
                         "opfold-bench-v1")
@@ -136,7 +153,7 @@ def _cmd_optk(args):
         return f"{costmodel.optimal_k(args.m, args.k_max)}\n"
     columns = ("m", "optimal_k")
     rows = [{"m": m, "optimal_k": costmodel.optimal_k(m, args.k_max)}
-            for m in _parse_range(args.m_range)]
+            for m in _parse_range(args.m_range, "--m-range")]
     return _render_rows(columns, rows, args.format, "opfold-optk-v1")
 
 

@@ -29,7 +29,8 @@ from .bitnum import BitNum
 # slot and int object the host keeps per cell, which dominates at small m.
 # No m admits a degree above K_CEILING: its 2**k - 1 cells alone outnumber
 # the budget's bits. _validate_multiply and costmodel.optimal_k test it
-# before 1 << k.
+# before 1 << k. The bank grows with m, so the budget admits m = 1 ..
+# _M_MAX[k] at degree k, and multiply tests it with that one lookup.
 # The budget charges the 2**k - 1 cells only, nothing per column. Peak RSS
 # of one multiply above a fresh process's start (ru_maxrss, 2-CPU x86-64,
 # A all ones, every cell filled once): compiled lane 150 MB at k = 1,
@@ -94,16 +95,28 @@ class CostLedger:
 
     def __init__(self, accumulate_adds, combine_adds, horner_adds, shifts,
                  peak_cell_bits):
-        # one dict update, where the generated frozen __init__ makes one
-        # object.__setattr__ call per field; multiply builds one per call
-        self.__dict__.update(
-            accumulate_adds=accumulate_adds, combine_adds=combine_adds,
-            horner_adds=horner_adds, shifts=shifts,
-            peak_cell_bits=peak_cell_bits)
+        _fill_ledger(self, accumulate_adds, combine_adds, horner_adds, shifts,
+                     peak_cell_bits)
 
     @property
     def total(self):
         return self.accumulate_adds + self.combine_adds + self.horner_adds
+
+
+# A ledger's fields go into its __dict__ in one set through the class's
+# __dict__ descriptor, past the frozen __setattr__ that the generated
+# __init__ calls once per field; multiply fills an object.__new__ ledger
+# this way and skips __init__'s keyword binding too
+_set_ledger_dict = CostLedger.__dict__["__dict__"].__set__
+
+
+def _fill_ledger(ledger, accumulate_adds, combine_adds, horner_adds, shifts,
+                 peak_cell_bits):
+    _set_ledger_dict(ledger, {
+        "accumulate_adds": accumulate_adds, "combine_adds": combine_adds,
+        "horner_adds": horner_adds, "shifts": shifts,
+        "peak_cell_bits": peak_cell_bits})
+    return ledger
 
 
 def split(B, m, k):
@@ -202,10 +215,26 @@ def _bank_bits(m, k):
     return costmodel._memory_bits(m, k, CELL_OVERHEAD_BITS)
 
 
+def _m_max(k):
+    """Largest m with _bank_bits(m, k) <= BANK_BUDGET_BITS, or 0.
+
+    The bank is (2**k - 1) * (m + ceil(m/k) + CELL_OVERHEAD_BITS), so m fits
+    iff m + ceil(m/k) <= t. With t = q*(k + 1) + r, m = q*k + j has
+    m + ceil(m/k) = q*(k + 1) + j + (j > 0), largest at j = max(r - 1, 0).
+    """
+    t = BANK_BUDGET_BITS // ((1 << k) - 1) - CELL_OVERHEAD_BITS
+    q, r = divmod(t, k + 1)
+    return max(q * k + max(r - 1, 0), 0)
+
+
+# _M_MAX[k] for k in 0 .. K_CEILING; no degree-0 fold exists
+_M_MAX = (0, *map(_m_max, range(1, K_CEILING + 1)))
+
+
 def _validate_multiply(m, k, *operands):
     """costmodel._check, then the bank budget, k > K_CEILING before 1 << k."""
     costmodel._check(m, k, *operands)
-    if k > K_CEILING or _bank_bits(m, k) > BANK_BUDGET_BITS:
+    if k > K_CEILING or m > _M_MAX[k]:
         raise ValueError(
             f"k = {k} at m = {m} needs an accumulator bank over the budget "
             f"of {BANK_BUDGET_BITS} bits")
@@ -220,11 +249,12 @@ def multiply(A, B, m, k):
     a, b = A._value, B._value
     # _validate_multiply's checks as one expression; only a refused input
     # calls it, to raise the error that names the fault
-    if not (1 <= k <= K_CEILING and m >= 1 and (a | b).bit_length() <= m
-            and _bank_bits(m, k) <= BANK_BUDGET_BITS):
+    if not (1 <= k <= K_CEILING and 1 <= m <= _M_MAX[k]
+            and (a | b).bit_length() <= m):
         _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
-    product, *counts = _k.fold_multiply(a, b, m, k)
-    return BitNum._wrap(product), CostLedger(*counts)
+    product, acc, comb, horner, shifts, peak = _k.fold_multiply(a, b, m, k)
+    return BitNum._wrap(product), _fill_ledger(
+        object.__new__(CostLedger), acc, comb, horner, shifts, peak)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opfold import _corepy, _kernel
+from opfold import _corepy, _kernel, folding
 from opfold.bitnum import BitNum, UnderflowError, random_bitnum
 from opfold.baselines import (
     SignedDigitString,
@@ -330,3 +330,22 @@ def test_recode_holds_naf_masks():
     for b in [*range(4097), *wide]:
         sd = csd_recode(BitNum(b))
         assert (sd.plus, sd.minus) == _corepy.naf_masks(b)
+
+
+def test_baselines_refuse_a_fold_over_the_bank_budget():
+    # both baselines are the k = 1 fold, so they refuse a width that
+    # multiply refuses at k = 1; only the refused side is built
+    m_max = folding._M_MAX[1]
+    over = f"k = 1 at m = {m_max + 1} needs an accumulator bank over the " \
+           f"budget of {folding.BANK_BUDGET_BITS} bits"
+    zero, wide = BitNum(0), BitNum(1 << m_max)
+    for call in (classical_multiply, csd_multiply):
+        for a, b in ((zero, wide), (wide, zero)):
+            with pytest.raises(ValueError) as info:
+                call(a, b)
+            assert str(info.value) == over
+    # b = 0b11 << (m_max - 2) is m_max bits wide, but its NAF is
+    # +1 0 -1 0 ..., one digit more, so the signed-digit fold is over
+    with pytest.raises(ValueError) as info:
+        csd_multiply(zero, BitNum(0b11 << (m_max - 2)))
+    assert str(info.value) == over

@@ -366,11 +366,17 @@ def test_default_seed_is_zero(capsys):
     (["density", "--mode=all"],
      "--mode must be one of nodes-only, full-recursive, got 'all'"),
     (["density", "--exact-weight=yes"], "--exact-weight takes no value"),
+    (["bench", "--m-range", "x"], "bad range 'x' for --m-range"),
+    (["bench", "--m-range", "16", "--k-range", "1:x"],
+     "bad range '1:x' for --k-range"),
+    (["bench", "--m-range", "16,y"], "bad range '16,y' for --m-range"),
+    (["optk", "--m-range", "x:9"], "bad range 'x:9' for --m-range"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
         "missing-required", "missing-required-hdl", "bad-int",
         "empty-int", "bad-float", "bad-choice", "bad-choice-equals",
-        "flag-with-value"])
+        "flag-with-value", "bench-m-range-not-int", "bench-k-range-not-int",
+        "bench-m-list-not-int", "optk-m-range-not-int"])
 def test_command_line_fault_exits_2_with_one_error_line(argv, message,
                                                         capsys):
     try:

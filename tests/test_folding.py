@@ -438,6 +438,28 @@ def test_cost_ledger_is_a_frozen_dataclass():
         CostLedger(4, 2, 1, 7)
 
 
+def test_multiply_ledger_is_the_constructed_frozen_dataclass():
+    # multiply fills its ledger past __init__; it must be the same object
+    # a constructor call makes
+    _, ledger = multiply(BitNum(0b1011), BitNum(0b1101), 4, 2)
+    built = CostLedger(*dataclasses.astuple(ledger))
+    assert type(ledger) is CostLedger
+    assert dataclasses.fields(ledger) == dataclasses.fields(CostLedger)
+    assert vars(ledger) == vars(built)
+    assert repr(ledger) == repr(built) == (
+        "CostLedger(accumulate_adds=2, combine_adds=2, horner_adds=1, "
+        "shifts=3, peak_cell_bits=6)")
+    assert ledger == built and not ledger != built
+    assert hash(ledger) == hash(built) == hash((2, 2, 1, 3, 6))
+    assert dataclasses.replace(ledger, shifts=9) == CostLedger(2, 2, 1, 9, 6)
+    assert dataclasses.astuple(ledger) == (2, 2, 1, 3, 6)
+    assert ledger.total == 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ledger.shifts = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ledger.shifts
+
+
 # --- bank budget -----------------------------------------------------------
 
 def test_bank_bits_is_memory_bits_plus_cell_overhead():
@@ -469,6 +491,31 @@ def test_bank_budget_boundary():
     assert bank_bits(m, 5) > BANK_BUDGET_BITS
     with pytest.raises(ValueError, match="budget"):
         multiply(BitNum(0), BitNum(0), m, 5)
+
+
+def test_m_max_is_the_largest_m_the_budget_admits():
+    # multiply's one-lookup test against the budget rule it stands for;
+    # a degree no m admits has a 0 entry
+    assert len(folding._M_MAX) == K_CEILING + 1
+    for k in range(1, K_CEILING + 1):
+        m_max = folding._M_MAX[k]
+        if m_max:
+            assert bank_bits(m_max, k) <= BANK_BUDGET_BITS, k
+        assert BANK_BUDGET_BITS < bank_bits(m_max + 1, k), k
+    assert folding._M_MAX[1] > folding._M_MAX[8] > 4096
+    assert folding._M_MAX[K_CEILING] == 0
+
+
+@pytest.mark.parametrize("kind", [int, np.int64], ids=["int", "numpy-int64"])
+def test_multiply_refuses_one_past_m_max(kind):
+    # zero operands keep every refused call from building anything
+    for k in range(1, K_CEILING + 1):
+        m = folding._M_MAX[k] + 1
+        with pytest.raises(ValueError) as info:
+            multiply(BitNum(0), BitNum(0), kind(m), kind(k))
+        assert str(info.value) == (
+            f"k = {k} at m = {m} needs an accumulator bank over the budget "
+            f"of {BANK_BUDGET_BITS} bits"), k
 
 
 def test_bank_budget_rejects_huge_k_without_building_it():

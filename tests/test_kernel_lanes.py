@@ -194,6 +194,62 @@ def test_compiled_lane_refuses_non_ints(corec):
         corec.fold_multiply(1.0, 1, 8, 2)
 
 
+RNG = object()  # stands for a fresh numpy Generator in the rows below
+
+
+@pytest.mark.parametrize("name, args, error", [
+    ("fold_multiply", (), TypeError),
+    ("fold_multiply", (1, 1, 8), TypeError),
+    ("fold_multiply", (1, 1, 8, 2, 0), TypeError),
+    ("fold_multiply", (1.0, 1, 8, 2), TypeError),
+    ("fold_multiply", (1, "1", 8, 2), TypeError),
+    ("fold_multiply", (1, 1, 8.0, 2), TypeError),
+    ("fold_multiply", (1, 1, 8, 2.0), TypeError),
+    ("fold_multiply", (1, 1, 1 << 63, 2), OverflowError),
+    ("fold_multiply", (1, 1, 8, 1 << 63), OverflowError),
+    ("seeded_bits", (), TypeError),
+    ("seeded_bits", ((1,), 8), TypeError),
+    ("seeded_bits", ((1,), 8, 1, 0), TypeError),
+    ("seeded_bits", (1.0, 8, 1), TypeError),
+    ("seeded_bits", ("1", 8, 1), TypeError),
+    ("seeded_bits", ((1,), 8.0, 1), TypeError),
+    ("seeded_bits", ((1,), 8, 1.0), TypeError),
+    ("seeded_bits", ((1,), 1 << 63, 1), OverflowError),
+    ("bernoulli_bits", (), TypeError),
+    ("bernoulli_bits", (RNG, 8), TypeError),
+    ("bernoulli_bits", (RNG, 8, 0.5, 0), TypeError),
+    ("bernoulli_bits", (1.0, 8, 0.5), TypeError),
+    ("bernoulli_bits", (RNG, 8, "x"), ValueError),
+    ("bernoulli_bits", (RNG, 8.0, 0.5), TypeError),
+    ("bernoulli_bits", (RNG, 1 << 63, 0.5), OverflowError),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_entry_points_refuse_as_the_tuple_parser_did(corec, name, args,
+                                                     error):
+    # the exception types PyArg_ParseTuple raised for these before the
+    # entry points took their arguments by vectorcall
+    args = tuple(np.random.default_rng(1) if x is RNG else x for x in args)
+    with pytest.raises(error):
+        getattr(corec, name)(*args)
+
+
+def test_entry_points_take_bools_and_numpy_ints(corec):
+    # True is an int, and numpy ints pass through __index__, as before;
+    # keywords are refused, as before
+    assert corec.fold_multiply(True, True, np.int64(8), np.int32(2)) == \
+        corec.fold_multiply(1, 1, 8, 2) == (1, 1, 2, 1, 5, 1)
+    assert corec.fold_multiply(True, False, True, True) == (0, 0, 0, 0, 1, 0)
+    assert corec.seeded_bits((1,), np.int64(64), np.int32(2)) == \
+        corec.seeded_bits((1,), 64, 2)
+    assert corec.seeded_bits(True, 64, True) == corec.seeded_bits((1,), 64, 1)
+    for b in (np.int64(100), np.uint8(100)):
+        assert corec.bernoulli_bits(np.random.default_rng(3), b, 0.5) == \
+            corec.bernoulli_bits(np.random.default_rng(3), 100, 0.5)
+    assert corec.bernoulli_bits(np.random.default_rng(3), True, 1.0) == 1
+    for name in ("fold_multiply", "seeded_bits", "bernoulli_bits"):
+        with pytest.raises(TypeError, match="keyword"):
+            getattr(corec, name)(m=8)
+
+
 def _numpy_bits(entropy, m, count):
     """count m-bit values from a fresh default_rng(entropy), cut here from
     Generator.bytes: each value takes whole uint32 words, lowest first."""
