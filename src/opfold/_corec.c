@@ -13,10 +13,9 @@
    at limb i / 32 of its cell: no column shifts a full-width copy of A
    (the classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1).
    Accumulate and combine add lane by lane and leave the carries in the
-   lanes' upper halves; they are resolved once per cell before the peak
-   and Horner read the cells, and Horner adds each part product into the
-   product with add_shifted. Every buffer comes from one calloc sized from
-   the operand widths, n and k.
+   lanes' upper halves; Horner resolves each part cell once and adds it
+   into the product with add_shifted. Every buffer comes from one calloc
+   sized from the operand widths, n and k.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
@@ -30,10 +29,11 @@
    filled byte: accumulate sets it, and a combine add, which runs only
    when its source cell is filled, sets it on both destinations. A
    skipped add would have added zero, so combine still counts every add
-   of the schedule, 2**(k+1) - 2k - 2, as _corepy does. Resolve and peak
-   visit filled cells only; unfilled ones stay zero, which Horner reads as
-   it is. The peak is the largest bit length of a filled cell, each read
-   from its top nonzero limb with __builtin_clzll.
+   of the schedule, 2**(k+1) - 2k - 2, as _corepy does. The peak is the
+   widest part cell 2**j: a cell v with top bit t, not a power of two, is
+   final before round t + 1 adds it into cell 2**t, which no later round
+   writes, and cells are non-negative, so v <= cell 2**t. _corepy, which
+   measures every cell, checks this in the lane-parity tests.
 
    Every cell holds a sum of distinct accumulate terms, so it stays below
    A * 2**n and fits len(A) + ceil(n / 32) limbs, and each of its lanes
@@ -369,9 +369,11 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         comb_adds += 2 * (Py_ssize_t)(base - 1);
     }
 
-    /* peak: the largest bit length of a filled cell */
+    /* Horner: part product j + 1, in cell 2**j, resolved and added at bit
+       offset j*n; the peak is the widest of them */
     Py_ssize_t peak = 0;
-    for (size_t v = 1; v < ncells; v++) {
+    for (size_t j = 0; j < (size_t)k; j++) {
+        size_t v = (size_t)1 << j, off = j * n;
         if (!filled[v])
             continue;
         lane *cell = cells + v * cell_len;
@@ -379,13 +381,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         Py_ssize_t bits = bit_length(cell, cell_len);
         if (bits > peak)
             peak = bits;
-    }
-
-    /* Horner: part product j + 1, in cell 2**j, added at bit offset j*n */
-    for (size_t j = 0; j < (size_t)k; j++) {
-        size_t off = j * n;
-        add_shifted(prod + off / 32, cells + ((size_t)1 << j) * cell_len,
-                    cell_len, (unsigned)(off % 32));
+        add_shifted(prod + off / 32, cell, cell_len, (unsigned)(off % 32));
     }
     resolve(prod, prod_len);
     for (size_t t = 0; t < prod_len; t++)

@@ -143,7 +143,10 @@ def fold_multiply(a, b, m, k):
         cells[base] = sum(upper, cells[base])
         cells[1:base] = map(operator.add, cells[1:base], upper)
         comb_adds += 2 * (base - 1)
-    peak = max(cells).bit_length()  # every cell is non-negative
+    # every cell is non-negative. _corec measures only the part cells, the
+    # widest ones; this maximum over every cell is kept as the reference
+    # the lane-parity tests check that against
+    peak = max(cells).bit_length()
     p = cells[1 << (k - 1)]
     horner_adds = 0
     for i in range(k - 1, 0, -1):

@@ -32,9 +32,11 @@ Both lanes run one schedule: accumulate adds A shifted to column i's
 offset into the cell that column's pattern names, once per nonzero
 column; combine and Horner follow. The n columns fill at most n of the
 2**k - 1 cells: the compiled lane skips every combine add whose source
-cell is still empty and resolves and measures only filled cells, while
-the pure lane performs every add. Both count the whole schedule, so the
-ledgers agree. On either lane fold_multiply(a, b,
+cell is still empty, while the pure lane performs every add. Both count
+the whole schedule, so the ledgers agree. After combine no cell is wider
+than the part cell 2**j of its top bit, so the compiled lane measures
+peak_cell_bits on the k part cells alone and the pure lane, the
+all-cell reference, on every cell. On either lane fold_multiply(a, b,
 m, k) returns (product, accumulate_adds, combine_adds, horner_adds,
 shifts, peak_cell_bits): after the product come folding.CostLedger's
 fields in declared order, which folding.multiply unpacks by name into

@@ -22,8 +22,12 @@ from .bitnum import BitNum, UnderflowError
 MAX_GRID_POINTS = 4096
 
 
+def _range_name(text, flag):
+    return f"range {text!r}" + (f" for {flag}" if flag else "")
+
+
 def _bad_range(text, flag):
-    return f"bad range {text!r}" + (f" for {flag}" if flag else "")
+    return f"bad {_range_name(text, flag)}"
 
 
 def _range_int(field, text, flag):
@@ -37,9 +41,9 @@ def _range_int(field, text, flag):
 def _parse_range(text, flag=None):
     """"lo:hi[:step]" (inclusive) as a range, or a comma list of ints.
 
-    Either form is refused past MAX_GRID_POINTS before any point runs. A
-    malformed range is refused by a message that names flag, the option it
-    came from, when one is given.
+    Either form is refused past MAX_GRID_POINTS before any point runs.
+    Every refusal names flag, the option the range came from, when one is
+    given.
     """
     if ":" in text:
         fields = text.split(":")
@@ -56,10 +60,10 @@ def _parse_range(text, flag=None):
         values = [_range_int(f, text, flag) for f in text.split(",")
                   if f.strip() != ""]
         if not values:
-            raise ValueError(f"empty range {text!r}")
+            raise ValueError(f"empty {_range_name(text, flag)}")
     if len(values) > MAX_GRID_POINTS:
-        raise ValueError(f"range {text!r} has {len(values)} points, more "
-                         f"than the cap of {MAX_GRID_POINTS}")
+        raise ValueError(f"{_range_name(text, flag)} has {len(values)} "
+                         f"points, more than the cap of {MAX_GRID_POINTS}")
     return values
 
 

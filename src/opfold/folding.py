@@ -85,7 +85,12 @@ class AccumulatorBank:
 @dataclass(frozen=True, init=False)
 class CostLedger:
     """Addition counts per phase; shifts and peak width are diagnostics
-    and excluded from total."""
+    and excluded from total.
+
+    peak_cell_bits is the width of the widest cell after combine, which is
+    always a part product A x B_j: combine adds every other cell, once
+    final, into the part cell of its top bit, and no cell is negative.
+    """
 
     accumulate_adds: int
     combine_adds: int
@@ -95,8 +100,10 @@ class CostLedger:
 
     def __init__(self, accumulate_adds, combine_adds, horner_adds, shifts,
                  peak_cell_bits):
-        _fill_ledger(self, accumulate_adds, combine_adds, horner_adds, shifts,
-                     peak_cell_bits)
+        _set_ledger_dict(self, {
+            "accumulate_adds": accumulate_adds, "combine_adds": combine_adds,
+            "horner_adds": horner_adds, "shifts": shifts,
+            "peak_cell_bits": peak_cell_bits})
 
     @property
     def total(self):
@@ -108,15 +115,6 @@ class CostLedger:
 # __init__ calls once per field; multiply fills an object.__new__ ledger
 # this way and skips __init__'s keyword binding too
 _set_ledger_dict = CostLedger.__dict__["__dict__"].__set__
-
-
-def _fill_ledger(ledger, accumulate_adds, combine_adds, horner_adds, shifts,
-                 peak_cell_bits):
-    _set_ledger_dict(ledger, {
-        "accumulate_adds": accumulate_adds, "combine_adds": combine_adds,
-        "horner_adds": horner_adds, "shifts": shifts,
-        "peak_cell_bits": peak_cell_bits})
-    return ledger
 
 
 def split(B, m, k):
@@ -253,8 +251,14 @@ def multiply(A, B, m, k):
             and (a | b).bit_length() <= m):
         _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     product, acc, comb, horner, shifts, peak = _k.fold_multiply(a, b, m, k)
-    return BitNum._wrap(product), _fill_ledger(
-        object.__new__(CostLedger), acc, comb, horner, shifts, peak)
+    # BitNum._wrap and CostLedger.__init__ inlined, with no call frame
+    p = object.__new__(BitNum)
+    p._value = product
+    ledger = object.__new__(CostLedger)
+    _set_ledger_dict(ledger, {
+        "accumulate_adds": acc, "combine_adds": comb, "horner_adds": horner,
+        "shifts": shifts, "peak_cell_bits": peak})
+    return p, ledger
 
 
 @dataclass(frozen=True)

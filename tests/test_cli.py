@@ -142,8 +142,9 @@ def test_grid_over_point_cap_exits_2_before_running(argv, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 2 and out == ""
-    assert err == (f"error: range '1:1000000000' has 1000000000 points, "
-                   f"more than the cap of {cli.MAX_GRID_POINTS}\n")
+    flag = "--k-range" if "--k-range" in argv else "--m-range"
+    assert err == (f"error: range '1:1000000000' for {flag} has 1000000000 "
+                   f"points, more than the cap of {cli.MAX_GRID_POINTS}\n")
     assert peak < 2**20
 
 
@@ -371,12 +372,22 @@ def test_default_seed_is_zero(capsys):
      "bad range '1:x' for --k-range"),
     (["bench", "--m-range", "16,y"], "bad range '16,y' for --m-range"),
     (["optk", "--m-range", "x:9"], "bad range 'x:9' for --m-range"),
+    (["bench", "--m-range", ","], "empty range ',' for --m-range"),
+    (["optk", "--m-range", " , "], "empty range ' , ' for --m-range"),
+    (["bench", "--m-range", "16", "--k-range", "1:200000000"],
+     "range '1:200000000' for --k-range has 200000000 points, more than "
+     f"the cap of {cli.MAX_GRID_POINTS}"),
+    (["optk", "--m-range", "1:200000000"],
+     "range '1:200000000' for --m-range has 200000000 points, more than "
+     f"the cap of {cli.MAX_GRID_POINTS}"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
         "missing-required", "missing-required-hdl", "bad-int",
         "empty-int", "bad-float", "bad-choice", "bad-choice-equals",
         "flag-with-value", "bench-m-range-not-int", "bench-k-range-not-int",
-        "bench-m-list-not-int", "optk-m-range-not-int"])
+        "bench-m-list-not-int", "optk-m-range-not-int", "bench-m-range-empty",
+        "optk-m-range-empty", "bench-k-range-over-cap",
+        "optk-m-range-over-cap"])
 def test_command_line_fault_exits_2_with_one_error_line(argv, message,
                                                         capsys):
     try:

@@ -415,6 +415,31 @@ def test_fused_matches_phased_path_grid():
                 assert (product, ledger) == (trace.product, trace.ledger)
 
 
+def test_widest_cell_after_combine_is_a_part_product():
+    # combine adds each cell v, once final, into part cell 2**t, t = v's top
+    # bit, so no cell outgrows that part cell and the peak is the widest
+    # part product: the compiled lane measures only the part cells
+    rng = random.Random(1105)
+    for m in range(1, 41):
+        full = (1 << m) - 1
+        for k in range(1, 11):
+            n = -(-m // k)
+            # one set bit per part, at a random offset within it
+            one_per_part = sum(1 << rng.randrange(j * n, min(j * n + n, m))
+                               for j in range(k) if j * n < m)
+            for a, b in ((rng.getrandbits(m), rng.getrandbits(m)),
+                         (full, full), (full, one_per_part),
+                         (rng.getrandbits(m), one_per_part)):
+                A, B = BitNum(a), BitNum(b)
+                d = split(B, m, k)
+                cells = combine(accumulate(A, d)[0], k)
+                for v in range(1, 1 << k):
+                    top = cells.cell(1 << (v.bit_length() - 1))
+                    assert cells.cell(v) <= top, (m, k, a, b, v)
+                widest = max((a * p.to_int()).bit_length() for p in d.parts)
+                assert multiply(A, B, m, k)[1].peak_cell_bits == widest
+
+
 def test_cost_ledger_is_a_frozen_dataclass():
     ledger = CostLedger(4, 2, 1, 7, 6)
     assert [f.name for f in dataclasses.fields(CostLedger)] == [

@@ -157,6 +157,44 @@ def test_peak_at_every_top_limb_width(corec):
                 assert result[5] == w, (a, k)
 
 
+def _equal_parts(rng):
+    # k equal parts: every set column lands in cell 2**k - 1
+    for k in range(2, 9):
+        for n in (1, 7, 32, 33, 70):
+            part = rng.getrandbits(n) | 1
+            b = sum(part << j * n for j in range(k))
+            yield rng.getrandbits(k * n) | 1, b, k * n, k, part
+
+
+def _one_part(rng):
+    # one nonzero part: the other k - 1 part cells stay unfilled
+    for k in range(1, 13):
+        for m in (k, 40, 129, 300):
+            n = -(-m // k)
+            for j in {0, (m - 1) // n, rng.randrange(-(-m // n))}:
+                part = rng.getrandbits(min(n, m - j * n)) | 1
+                yield (1 << m) - 1, part << j * n, m, k, part
+
+
+def _zero_multiplicand(rng):
+    # B all ones fills every cell, with zeros
+    for k in range(1, 13):
+        for m in (k, 64, 300):
+            yield 0, (1 << m) - 1, m, k, 0
+
+
+@pytest.mark.parametrize("cases", [_equal_parts, _one_part,
+                                   _zero_multiplicand],
+                         ids=["equal-parts", "one-part", "zero-multiplicand"])
+def test_peak_is_the_widest_part_product(corec, cases):
+    # part is the one value every nonzero part holds, so the widest part
+    # product is a * part
+    for a, b, m, k, part in cases(random.Random(1113)):
+        result = corec.fold_multiply(a, b, m, k)
+        assert result == _corepy.fold_multiply(a, b, m, k), (a, b, m, k)
+        assert result[5] == (a * part).bit_length(), (a, b, m, k)
+
+
 def test_lanes_take_numpy_int_m_and_k(corec):
     a, b = (1 << 100) - 1, (1 << 100) - 3
     expected = corec.fold_multiply(a, b, 100, 3)
