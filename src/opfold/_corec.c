@@ -62,13 +62,16 @@
    value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
    and all values are cut from one buffer.
 
-   bernoulli_bits(rng, b, delta) takes a numpy Generator and draws from it
-   the b doubles rng.random(b) would: it calls the next_double of the
-   bit generator's public "BitGenerator" capsule b times, holding the bit
-   generator's lock and not the GIL, as Generator.random does. So on every
-   numpy bit generator the value and the state left behind are the pure
-   lane's, and the draw needs b / 8 bytes, where the pure lane holds a
-   float64 and a bool per bit.
+   bernoulli_bits(rng, b, delta) draws from rng the b doubles rng.random(b)
+   would: it calls the next_double of rng.bit_generator's public
+   "BitGenerator" capsule b times, holding the bit generator's lock and not
+   the GIL, as Generator.random does. So on every numpy bit generator the
+   value and the state left behind are the pure lane's, and the draw needs
+   b / 8 bytes, where the pure lane holds a float64 and a bool per bit.
+   density.bernoulli_block, its one caller, checks that rng is a numpy
+   Generator, as folding.multiply checks fold_multiply's operands; here an
+   rng without those attributes raises AttributeError, and a capsule of
+   another name ValueError, before any draw.
 
    fold_multiply, seeded_bits and bernoulli_bits are vectorcall entry
    points (METH_FASTCALL, PEP 590): each reads its arguments from the
@@ -78,7 +81,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
-#include <string.h>
 
 /* folding.K_CEILING, exported as K_CEILING for the tests to compare: above
    it 2**k cells alone outgrow the accumulator bank budget */
@@ -607,42 +609,11 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* numpy.random.Generator and the names bernoulli_bits looks up, made on
-   its first call. The names are interned, so each lookup hits the type's
-   attribute cache; a name made from a C string per call misses it */
-static PyObject *generator_type, *bit_generator_str, *capsule_str, *lock_str,
-                *acquire_str, *release_str;
-
-/* 1 if rng is a numpy.random.Generator, else 0 with TypeError set, or -1
-   with the import's error set */
-static int
-check_generator(PyObject *rng)
-{
-    if (!generator_type) {
-        if (!(bit_generator_str = PyUnicode_InternFromString("bit_generator"))
-                || !(capsule_str = PyUnicode_InternFromString("capsule"))
-                || !(lock_str = PyUnicode_InternFromString("lock"))
-                || !(acquire_str = PyUnicode_InternFromString("acquire"))
-                || !(release_str = PyUnicode_InternFromString("release")))
-            return -1;
-        PyObject *random = PyImport_ImportModule("numpy.random");
-        if (!random)
-            return -1;
-        generator_type = PyObject_GetAttrString(random, "Generator");
-        Py_DECREF(random);
-        if (!generator_type)
-            return -1;
-    }
-    int rc = PyObject_IsInstance(rng, generator_type);
-    if (rc == 0) {
-        /* type(rng).__name__: tp_name after its last dot */
-        const char *name = Py_TYPE(rng)->tp_name, *dot = strrchr(name, '.');
-        PyErr_Format(PyExc_TypeError,
-                     "rng must be a numpy.random.Generator, got %s",
-                     dot ? dot + 1 : name);
-    }
-    return rc;
-}
+/* The names bernoulli_bits looks up, interned once at module init, so
+   each lookup hits the type's attribute cache; a name made from a C string
+   per call misses it */
+static PyObject *bit_generator_str, *capsule_str, *lock_str, *acquire_str,
+                *release_str;
 
 /* Bits from b doubles u drawn as Generator.random(b) draws them, under
    the bit generator's lock and without the GIL: bit i is set iff the i-th
@@ -657,8 +628,6 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
             || ssize_arg(args[1], &b) < 0)
         return NULL;
     PyObject *rng = args[0], *delta_arg = args[2];
-    if (check_generator(rng) <= 0)
-        return NULL;
     if (b < 0) {
         PyErr_Format(PyExc_ValueError, "b must be >= 0, got %zd", b);
         return NULL;
@@ -746,6 +715,12 @@ static struct PyModuleDef corec_module = {
 PyMODINIT_FUNC
 PyInit__corec(void)
 {
+    if (!(bit_generator_str = PyUnicode_InternFromString("bit_generator"))
+            || !(capsule_str = PyUnicode_InternFromString("capsule"))
+            || !(lock_str = PyUnicode_InternFromString("lock"))
+            || !(acquire_str = PyUnicode_InternFromString("acquire"))
+            || !(release_str = PyUnicode_InternFromString("release")))
+        return NULL;
     PyObject *module = PyModule_Create(&corec_module);
     if (module && PyModule_AddIntMacro(module, K_CEILING) < 0)
         Py_CLEAR(module);

@@ -45,11 +45,9 @@ def _from_bits(bits):
 
 def bernoulli_bits(rng, b, delta):
     """Int whose bit i is set iff the i-th of the b doubles rng.random(b)
-    draws is below float(delta); rng must be a numpy Generator. _corec
-    takes the same arguments and compares with the same double."""
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError("rng must be a numpy.random.Generator, got "
-                        f"{type(rng).__name__}")
+    draws is below float(delta), for a numpy Generator rng, which
+    density.bernoulli_block checks. _corec takes the same arguments and
+    compares with the same double."""
     b = operator.index(b)
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")

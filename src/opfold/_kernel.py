@@ -22,11 +22,14 @@ compiled lane runs numpy's SeedSequence and PCG64 in C and builds none,
 and its values are the same bit for bit.
 
 bernoulli_bits(rng, b, delta) is the int whose bit i is set iff the
-i-th of the b doubles rng.random(b) draws is below float(delta); rng
-must be a numpy Generator on both lanes. The pure lane packs that bool array; the
-compiled lane calls the bit generator's next_double b times through
-numpy's "BitGenerator" capsule, under the bit generator's lock, and
-packs each 64 bits into one word. Both leave rng in the same state.
+i-th of the b doubles rng.random(b) draws is below float(delta), for a
+numpy Generator rng. density.bernoulli_block, its one caller, checks
+that rng is a Generator, and neither lane checks it again, as
+folding.multiply checks fold_multiply's operands. The pure lane packs
+that bool array; the compiled lane calls the bit generator's next_double
+b times through numpy's "BitGenerator" capsule, under the bit
+generator's lock, and packs each 64 bits into one word. Both leave rng
+in the same state.
 
 Both lanes run one schedule: accumulate adds A shifted to column i's
 offset into the cell that column's pattern names, once per nonzero

@@ -48,15 +48,20 @@ class SplitOutcome:
     density11: float
 
     def __init__(self, b10, b01, b11, density10, density01, density11):
-        # one dict update, as folding.CostLedger builds itself
+        # one dict update, not the generated init's setattr per field
         self.__dict__.update(b10=b10, b01=b01, b11=b11, density10=density10,
                              density01=density01, density11=density11)
 
 
-def logistic_step(delta):
-    """One density iterate delta * (1 - delta)."""
+def _check_density(delta):
+    """Refuse a density outside [0, 1], NaN included."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"density {delta} outside [0, 1]")
+
+
+def logistic_step(delta):
+    """One density iterate delta * (1 - delta)."""
+    _check_density(delta)
     return delta * (1.0 - delta)
 
 
@@ -254,10 +259,16 @@ def _check_budget(b):
 def bernoulli_block(b, delta, rng):
     """Random b-bit block with independent Bernoulli(delta) bits: bit i is
     set iff the i-th double of rng.random(b) is below delta, for a numpy
-    Generator rng (_kernel.bernoulli_bits)."""
+    Generator rng (_kernel.bernoulli_bits). Both kernel lanes draw through
+    a Generator's bit generator, and this is the one check that rng is
+    one."""
     _check_budget(b)
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"density {delta} outside [0, 1]")
+    _check_density(delta)
+    # looked up per call: numpy loads numpy.random lazily, and importing it
+    # with this module would add ~6 MB and its import time to every command
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy.random.Generator, got "
+                        f"{type(rng).__name__}")
     return BitNum._wrap(_k.bernoulli_bits(rng, b, delta))
 
 
@@ -282,10 +293,11 @@ def _series(b, depth, delta0, trials, seed, mode, exact_weight, field,
     """Per-level mean and stderr of one LevelStats field over seeded trials.
 
     Trial t walks a block drawn from default_rng([seed, b, t]); predict()
-    gives the closed-form value per level once the trials have run. The
-    walk's arguments are checked before the first draw.
+    gives the closed-form value per level once the trials have run. Every
+    argument, delta0 included, is checked before the first draw.
     """
     _check_walk(b, depth, mode)
+    _check_density(delta0)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:

@@ -82,7 +82,7 @@ class AccumulatorBank:
         return self.cells[v - 1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CostLedger:
     """Addition counts per phase; shifts and peak width are diagnostics
     and excluded from total.
@@ -98,22 +98,14 @@ class CostLedger:
     shifts: int
     peak_cell_bits: int
 
-    def __init__(self, accumulate_adds, combine_adds, horner_adds, shifts,
-                 peak_cell_bits):
-        _set_ledger_dict(self, {
-            "accumulate_adds": accumulate_adds, "combine_adds": combine_adds,
-            "horner_adds": horner_adds, "shifts": shifts,
-            "peak_cell_bits": peak_cell_bits})
-
     @property
     def total(self):
         return self.accumulate_adds + self.combine_adds + self.horner_adds
 
 
-# A ledger's fields go into its __dict__ in one set through the class's
-# __dict__ descriptor, past the frozen __setattr__ that the generated
-# __init__ calls once per field; multiply fills an object.__new__ ledger
-# this way and skips __init__'s keyword binding too
+# multiply puts an object.__new__ ledger's fields into its __dict__ in one
+# set through the class's __dict__ descriptor, past the frozen __setattr__
+# that the generated __init__ calls once per field
 _set_ledger_dict = CostLedger.__dict__["__dict__"].__set__
 
 
@@ -251,7 +243,7 @@ def multiply(A, B, m, k):
             and (a | b).bit_length() <= m):
         _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     product, acc, comb, horner, shifts, peak = _k.fold_multiply(a, b, m, k)
-    # BitNum._wrap and CostLedger.__init__ inlined, with no call frame
+    # BitNum._wrap and CostLedger's fields set inline, with no call frame
     p = object.__new__(BitNum)
     p._value = product
     ledger = object.__new__(CostLedger)

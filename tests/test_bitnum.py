@@ -59,6 +59,8 @@ def test_shl_matches_oracle(x, s):
 
 def test_shl_small_cases():
     assert (BitNum(7) << 0).to_int() == 7
+    with pytest.raises(ValueError):
+        BitNum(7) << -1
     assert (BitNum(1) << 5).to_int() == 0b100000
     toy = BitNum(0b101010100011)
     assert (toy << 6).to_bin() == "0b101010100011000000"
@@ -120,6 +122,8 @@ def test_bit_beyond_length_is_zero():
     assert v.bit(4096) == 0
     assert BitNum(0).bit_length() == 0
     assert BitNum(0).bit(0) == 0
+    with pytest.raises(IndexError):
+        v.bit(-1)
 
 
 @given(values)
@@ -139,12 +143,17 @@ def test_parse_forms():
         BitNum.parse("-5")
     with pytest.raises(ValueError):
         BitNum(-1)
+    with pytest.raises(TypeError):
+        BitNum(1.5)
+    assert BitNum(BitNum(5)) == BitNum(5)
 
 
 def test_comparisons_and_hash():
     assert BitNum(3) < BitNum(10)
     assert BitNum(10) >= BitNum(10)
     assert BitNum(7) == BitNum(7)
+    assert BitNum(2) > BitNum(1)
+    assert (BitNum(1) == 1) is False
     assert hash(BitNum(7)) == hash(BitNum(7))
     assert bool(BitNum(0)) is False and bool(BitNum(2)) is True
 
@@ -166,8 +175,11 @@ def test_xor_matches_oracle(x, y):
 
 
 def test_xor_with_non_bitnum_raises_type_error():
-    with pytest.raises(TypeError):
-        BitNum(5) ^ 3
+    # and the other binary operators, which take a BitNum only too
+    for op in (operator.xor, operator.add, operator.sub, operator.and_,
+               operator.or_):
+        with pytest.raises(TypeError):
+            op(BitNum(5), 3)
 
 
 @given(values)

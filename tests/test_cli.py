@@ -289,6 +289,18 @@ def test_density_block_over_budget_exits_2(flags, capsys):
                    "sampling budget of 16777216 bits\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["--exact-weight"]],
+                         ids=["bernoulli", "exact-weight"])
+@pytest.mark.parametrize("delta0", ["inf", "-inf", "nan", "1.5"])
+def test_density_delta0_outside_unit_interval_exits_2(delta0, flags, capsys):
+    # refused before the first draw, with the message of bernoulli_block,
+    # on both samplers
+    rc, out, err = run(capsys, ["density", "--delta0", delta0,
+                                "--trials", "1"] + flags)
+    assert rc == 2 and out == ""
+    assert err == f"error: density {float(delta0)} outside [0, 1]\n"
+
+
 # --- hdl --------------------------------------------------------------------------
 
 def test_hdl_stdout_matches_emit(capsys):
@@ -380,6 +392,8 @@ def test_default_seed_is_zero(capsys):
     (["optk", "--m-range", "1:200000000"],
      "range '1:200000000' for --m-range has 200000000 points, more than "
      f"the cap of {cli.MAX_GRID_POINTS}"),
+    (["bench", "--m-range", "1:2:3:4"],
+     "bad range '1:2:3:4' for --m-range, expected lo:hi[:step]"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
         "missing-required", "missing-required-hdl", "bad-int",
@@ -387,7 +401,7 @@ def test_default_seed_is_zero(capsys):
         "flag-with-value", "bench-m-range-not-int", "bench-k-range-not-int",
         "bench-m-list-not-int", "optk-m-range-not-int", "bench-m-range-empty",
         "optk-m-range-empty", "bench-k-range-over-cap",
-        "optk-m-range-over-cap"])
+        "optk-m-range-over-cap", "bench-m-range-four-fields"])
 def test_command_line_fault_exits_2_with_one_error_line(argv, message,
                                                         capsys):
     try:

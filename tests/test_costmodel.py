@@ -227,6 +227,8 @@ def test_measured_mean_matches_padded_expectation():
 
 def test_measure_mean_deterministic():
     assert measure_mean(64, 3, 25, seed=9) == measure_mean(64, 3, 25, seed=9)
+    # one trial has no spread to estimate
+    assert measure_mean(64, 2, 1, 3)[1] == 0.0
 
 
 def test_measure_mean_checks_the_bank_before_drawing():

@@ -343,6 +343,8 @@ def test_series_determinism_and_schema():
     a = gain_series(64, 3, 0.5, trials=5, seed=11)
     b = gain_series(64, 3, 0.5, trials=5, seed=11)
     assert a == b
+    # one trial has no spread to estimate
+    assert [r["stderr"] for r in gain_series(64, 2, 0.5, 1, 3)] == [0.0] * 3
     for r in a:
         assert tuple(r) == SERIES_COLUMNS
     with pytest.raises(ValueError):

@@ -1,18 +1,17 @@
 """The compiled kernel lane against the pure one.
 
-The extension is built from src/opfold/_corec.c into a temporary directory
-and loaded from there, so these tests check the C source whether or not a
-built copy sits in src/. They skip only when the build itself fails.
+The corec fixture (conftest.py) builds the extension from
+src/opfold/_corec.c into a temporary directory and loads it from there, so
+these tests check the C source whether or not a built copy sits in src/.
+They skip only when the build itself fails.
 """
 
-import importlib.util
+import datetime
 import random
-import subprocess
-import sys
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,26 +21,6 @@ from opfold.bitnum import BitNum, random_bitnums
 from opfold.costmodel import measure_mean
 from opfold.density import bernoulli_block
 from opfold.folding import K_CEILING, multiply
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def corec(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("corec")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
-    built = sorted((tmp / "lib" / "opfold").glob("_corec.*"))
-    if proc.returncode or not built:
-        lines = proc.stderr.strip().splitlines() or ["no extension built"]
-        pytest.skip(f"compiled lane did not build: {lines[-1]}")
-    spec = importlib.util.spec_from_file_location("opfold._corec", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _check(corec, a, b, m, k):
     assert corec.fold_multiply(a, b, m, k) == \
@@ -256,7 +235,7 @@ RNG = object()  # stands for a fresh numpy Generator in the rows below
     ("bernoulli_bits", (), TypeError),
     ("bernoulli_bits", (RNG, 8), TypeError),
     ("bernoulli_bits", (RNG, 8, 0.5, 0), TypeError),
-    ("bernoulli_bits", (1.0, 8, 0.5), TypeError),
+    ("bernoulli_bits", (RNG, 8, None), TypeError),
     ("bernoulli_bits", (RNG, 8, "x"), ValueError),
     ("bernoulli_bits", (RNG, 8.0, 0.5), TypeError),
     ("bernoulli_bits", (RNG, 1 << 63, 0.5), OverflowError),
@@ -465,14 +444,36 @@ def test_bernoulli_bits_compare_with_float_delta(corec):
     np.random.RandomState(1), np.random.PCG64(1), None, 1,
     [np.random.default_rng(1)]],
     ids=["random-state", "bit-generator", "none", "int", "list"])
-def test_bernoulli_bits_take_a_generator_only(corec, rng):
+def test_bernoulli_bits_take_a_generator_only(rng, request, monkeypatch):
+    # bernoulli_block is the one Generator check for both lanes, so with
+    # either lane behind it the refusal and its message are the same, and
+    # no lane is reached: a RandomState is left as it was
+    state = rng.get_state()[1].copy() \
+        if isinstance(rng, np.random.RandomState) else None
     messages = set()
-    for lane in (corec, _corepy):
+    for bits in (request.getfixturevalue("corec").bernoulli_bits,
+                 _corepy.bernoulli_bits):
+        monkeypatch.setattr(_kernel, "bernoulli_bits", bits)
         with pytest.raises(TypeError) as info:
-            lane.bernoulli_bits(rng, 8, 0.5)
+            bernoulli_block(8, 0.5, rng)
         messages.add(str(info.value))
     assert messages == {"rng must be a numpy.random.Generator, got "
                         f"{type(rng).__name__}"}
+    if state is not None:
+        assert np.array_equal(rng.get_state()[1], state)
+
+
+def test_compiled_bernoulli_bits_draws_from_a_bit_generator_capsule_only(
+        corec):
+    # the lane leaves the Generator check to bernoulli_block; the capsule's
+    # name is what keeps it from calling into any other capsule's pointer
+    fake = SimpleNamespace(bit_generator=SimpleNamespace(
+        capsule=datetime.datetime_CAPI, lock=threading.Lock()))
+    with pytest.raises(ValueError):
+        corec.bernoulli_bits(fake, 8, 0.5)
+    assert not fake.bit_generator.lock.locked()
+    with pytest.raises(AttributeError):
+        corec.bernoulli_bits(np.random.PCG64(1), 8, 0.5)
 
 
 @pytest.mark.parametrize("lane", ["compiled", "pure"])
