@@ -14,16 +14,35 @@
    (the classical multiprecision add, Knuth, TAOCP Vol. 2, 4.3.1).
    Accumulate and combine add lane by lane and leave the carries in the
    lanes' upper halves; Horner resolves each part cell once and adds it
-   into the product with add_shifted. Every buffer comes from one calloc
-   sized from the operand widths, n and k.
+   into the product with add_shifted.
+
+   All of fold_multiply's memory is one module-level buffer that outlives
+   the call and grows with realloc. Its front holds the shifted copies of
+   the last multiplicand, and the next region the last multiplier's
+   bytes, which each call pads with zeros as far as its accumulate reads;
+   the call's working set follows, and each call zeroes only that. A call
+   whose a (or b) is the very int object the buffer was built from reuses
+   its region: criterion 1's folds of one pair at k = 1..8 and its two
+   baselines read and shift the multiplicand once. Only exact ints are
+   cached, each held by a strong reference: an int is immutable, so
+   identity implies value, and dropping one runs no __del__ while the
+   buffer is in use. A cache is invalidated before its region is rebuilt
+   and set only once the rebuild is done. A call that needs more than
+   1 MiB drops both operands and the buffer, takes a zeroed one from
+   calloc, whose untouched pages stay out of RSS as a sparsely filled
+   bank's mostly do, and frees it at its end, so a 2**24-bit multiply
+   still returns its ~150 MB; between calls at most 1 MiB stays. Under AddressSanitizer the buffer past the
+   call's working set is poisoned, so an overrun traps as one past an
+   exact-size allocation would. The buffer takes no lock: that is safe
+   only because fold_multiply never releases the GIL.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
    to a 64-bit word, and one 8 x 8 bit transpose per word gives each
    column its pattern byte (Warren, Hacker's Delight, 7-3). The OR of the
    parts' bytes names the columns with a nonzero pattern, and only those
-   add. B is held zero-padded to k * n bits, so a byte is read from any
-   part at any bit offset.
+   add. B is held zero-padded past the last byte accumulate reads, so a
+   byte is read from any part at any bit offset.
 
    The n columns fill at most n of the 2**k - 1 cells, so each cell has a
    filled byte: accumulate sets it, and a combine add, which runs only
@@ -81,6 +100,21 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
+
+/* AddressSanitizer's poisoning calls where it instruments the build, and
+   no-ops elsewhere */
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(p, size) ((void)(p), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(p, size) ((void)(p), (void)(size))
+#endif
 
 /* folding.K_CEILING, exported as K_CEILING for the tests to compare: above
    it 2**k cells alone outgrow the accumulator bank budget */
@@ -252,6 +286,62 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* fold_multiply's buffer (see the header), kept between calls up to
+   KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the first
+   cached_copies of them the copies of cached_a, and b_bytes at
+   cached_b_off holds cached_b; a cache is NULL when its region holds
+   nothing reusable. No lock guards it: fold_multiply never releases the
+   GIL and runs no Python code while the buffer is in use, so no other
+   call reaches it. */
+#define COPY_SLOTS 32
+#define KEEP_BYTES ((size_t)1 << 20)
+static unsigned char *buf;
+static size_t buf_cap;
+static PyObject *cached_a, *cached_b;
+static size_t cached_copies, cached_b_off;
+
+/* Drop both cached operands and free the buffer */
+static void
+release_buffer(void)
+{
+    Py_CLEAR(cached_a);
+    Py_CLEAR(cached_b);
+    ASAN_UNPOISON_MEMORY_REGION(buf, buf_cap);
+    free(buf);
+    buf = NULL;
+    buf_cap = 0;
+}
+
+/* buf with room for total bytes: 0 with the bytes it held kept, 1 with
+   every byte zero, or -1 with the buffer as it was. A buffer over
+   KEEP_BYTES is freed at the end of its call anyway, so it comes fresh
+   from calloc: the system's zero pages stay out of RSS until written, as
+   most of a large, sparsely filled bank is never written */
+static int
+reserve_buffer(size_t total)
+{
+    if (total > KEEP_BYTES) {
+        release_buffer();
+        if (!(buf = calloc(total, 1)))
+            return -1;
+        buf_cap = total;
+        return 1;
+    }
+    if (total > buf_cap) {
+        ASAN_UNPOISON_MEMORY_REGION(buf, buf_cap);
+        unsigned char *p = realloc(buf, total);
+        if (!p)
+            return -1;
+        buf = p;
+        buf_cap = total;
+    }
+    /* under AddressSanitizer, past the call's working set is poisoned, so
+       an overrun traps as one past an exact-size allocation would */
+    ASAN_UNPOISON_MEMORY_REGION(buf, total);
+    ASAN_POISON_MEMORY_REGION(buf + total, buf_cap - total);
+    return 0;
+}
+
 static PyObject *
 fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
               Py_ssize_t nargs)
@@ -282,47 +372,85 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     size_t ncells = (size_t)1 << k;
     size_t la = ((size_t)a_bits + 31) / 32;
     size_t b_len = ((size_t)b_bits + 7) / 8;
-    /* b zero-padded to k * n bits plus one byte, so bits8 can read any
-       column of any part */
-    size_t b_pad = ((size_t)k * n + 7) / 8 + 1;
+    /* accumulate reads the first ncols columns of the nparts parts that
+       start below b_bits: bits8 at pos < last + ncols, with last the top
+       such part's offset, which reads bytes pos / 8 and pos / 8 + 1. So b
+       is held zero-padded to b_pad bytes */
+    size_t ncols = (size_t)b_bits < n ? (size_t)b_bits : n;
+    size_t nparts = ((size_t)b_bits + n - 1) / n;
+    size_t last = nparts ? (nparts - 1) * n : 0;
+    size_t b_pad = (last + ncols) / 8 + 2;
     size_t cell_len = la + (n + 31) / 32;
-    size_t ncopies = n < 32 ? n : 32;
+    size_t ncopies = n < COPY_SLOTS ? n : COPY_SLOTS;
     /* Horner adds cell_len + 1 limbs at limb (k - 1) * n / 32 at most */
     size_t prod_len = (size_t)(k - 1) * n / 32 + cell_len + 1;
-    size_t total = 0;
-    if (reserve(&total, ncells, cell_len * sizeof(lane)) < 0
-            || reserve(&total, ncopies, (la + 1) * sizeof(lane)) < 0
+    /* copies, then b_bytes rounded up to whole lanes, then the working
+       set */
+    size_t b_off = COPY_SLOTS * (la + 1) * sizeof(lane), total = b_off;
+    if (reserve(&total, (b_pad + 7) / 8, sizeof(lane)) < 0
+            || reserve(&total, ncells, cell_len * sizeof(lane)) < 0
             || reserve(&total, prod_len, sizeof(lane)) < 0
-            || reserve(&total, 4 * (la + prod_len) + b_pad + ncells, 1) < 0)
+            || reserve(&total, 4 * (la + prod_len) + ncells, 1) < 0)
         return PyErr_NoMemory();
-    lane *cells = calloc(total, 1);
-    if (!cells)
+    int zeroed = reserve_buffer(total);
+    if (zeroed < 0)
         return PyErr_NoMemory();
-    lane *copies = cells + ncells * cell_len;
-    lane *prod = copies + ncopies * (la + 1);
+    lane *copies = (lane *)buf;
+    unsigned char *b_bytes = buf + b_off;
+    lane *cells = (lane *)(b_bytes + (b_pad + 7) / 8 * sizeof(lane));
+    lane *prod = cells + ncells * cell_len;
     unsigned char *a_bytes = (unsigned char *)(prod + prod_len);
-    unsigned char *b_bytes = a_bytes + 4 * la;
-    unsigned char *prod_bytes = b_bytes + b_pad;
+    unsigned char *prod_bytes = a_bytes + 4 * la;
     unsigned char *filled = prod_bytes + 4 * prod_len;
-    PyObject *result = NULL;
-    if (read_bytes(a, a_bytes, 4 * la) < 0
-            || read_bytes(b, b_bytes, b_len) < 0)
-        goto done;
+    /* cells 1 .. ncells - 1 and prod, which follows them; cell 0 is never
+       used, so it is never touched */
+    if (!zeroed) {
+        memset(cells + cell_len, 0,
+               ((ncells - 1) * cell_len + prod_len) * sizeof(lane));
+        memset(filled, 0, ncells);
+    }
 
-    for (size_t t = 0; t < la; t++)
-        copies[t] = load_le32(a_bytes + 4 * t);
-    for (size_t s = 1; s < ncopies; s++)
-        add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
+    /* each cache is invalidated before its region is rebuilt and set only
+       once the rebuild is done; a rebuilt a of another width moves b_off */
+    size_t built = a == cached_a ? cached_copies : 0;
+    if (!built) {
+        Py_CLEAR(cached_a);
+        if (read_bytes(a, a_bytes, 4 * la) < 0)
+            goto fail;
+        for (size_t t = 0; t < la; t++)
+            copies[t] = load_le32(a_bytes + 4 * t);
+        copies[la] = 0;
+        built = 1;
+    }
+    if (built < ncopies) {
+        if (!zeroed)
+            memset(copies + built * (la + 1), 0,
+                   (ncopies - built) * (la + 1) * sizeof(lane));
+        for (size_t s = built; s < ncopies; s++)
+            add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
+        built = ncopies;
+    }
+    if (!cached_a && PyLong_CheckExact(a))
+        cached_a = Py_NewRef(a);
+    cached_copies = built;
+    if (b != cached_b || b_off != cached_b_off) {
+        Py_CLEAR(cached_b);
+        if (read_bytes(b, b_bytes, b_len) < 0)
+            goto fail;
+        if (PyLong_CheckExact(b)) {
+            cached_b = Py_NewRef(b);
+            cached_b_off = b_off;
+        }
+    }
+    memset(b_bytes + b_len, 0, b_pad - b_len);
 
     /* accumulate, 8 columns i0 .. i0 + 7 at a time. Column i's pattern has
        bit j set iff bit i of part j + 1, bit j*n + i of b, is set. Byte
        j % 8 of rows[j / 8] holds those 8 columns of part j + 1, and its
        transpose holds their pattern bits, byte t for column i0 + t. Only
-       the first min(n, b_bits) columns and the parts that start below
-       b_bits can hold a set bit. Bit t of nonzero, the OR of the parts'
-       bytes, is set iff column i0 + t has a nonzero pattern */
-    size_t ncols = (size_t)b_bits < n ? (size_t)b_bits : n;
-    size_t nparts = ((size_t)b_bits + n - 1) / n;
+       the first ncols = min(n, b_bits) columns and the nparts parts that
+       start below b_bits can hold a set bit. Bit t of nonzero, the OR of
+       the parts' bytes, is set iff column i0 + t has a nonzero pattern */
     size_t ngroups = (nparts + 7) / 8;
     Py_ssize_t acc_adds = 0;
     for (size_t i0 = 0; i0 < ncols; i0 += 8) {
@@ -388,11 +516,16 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     resolve(prod, prod_len);
     for (size_t t = 0; t < prod_len; t++)
         store_le32(prod_bytes + 4 * t, (uint32_t)prod[t]);
-    /* (product, *counts); a failed tuple frees the slots it filled */
+    /* the buffer is done with before anything that may run Python code:
+       a large one goes back to the system, with the operands it caches */
     PyObject *product = _PyLong_FromByteArray(prod_bytes, 4 * prod_len, 1, 0);
-    if (!product || !(result = PyTuple_New(6))) {
+    if (buf_cap > KEEP_BYTES)
+        release_buffer();
+    /* (product, *counts); a failed tuple frees the slots it filled */
+    PyObject *result = product ? PyTuple_New(6) : NULL;
+    if (!result) {
         Py_XDECREF(product);
-        goto done;
+        return NULL;
     }
     PyTuple_SET_ITEM(result, 0, product);
     Py_ssize_t counts[] = {acc_adds, comb_adds, k - 1, (Py_ssize_t)n + k - 1,
@@ -405,9 +538,11 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         }
         PyTuple_SET_ITEM(result, i + 1, x);
     }
-done:
-    free(cells);
     return result;
+fail:
+    /* the working set may have overwritten a cached region */
+    release_buffer();
+    return NULL;
 }
 
 /* numpy's SeedSequence: pool size and hash constants */

@@ -11,9 +11,18 @@ baselines and density.bernoulli_block call through this module, so the
 kernel stays one layer that can be timed, traced or replaced on its own.
 
 classical_multiply(a, b) is fold_multiply at k = 1, so its count is
-popcount(b). csd_multiply(a, b) folds the +1 and -1 masks of b's NAF
-and subtracts the second product from the first; its count is the NAF
-weight, and the one subtraction that joins them is not counted.
+popcount(b). csd_multiply(a, b) folds the +1 and -1 masks of b's NAF,
+calling fold_multiply for each directly, and subtracts the second
+product from the first; its count is the NAF weight, and the one
+subtraction that joins them is not counted.
+
+The compiled lane keeps its working buffer between fold_multiply calls,
+with the last multiplicand's shifted copies and the last multiplier's
+bytes, and reuses them when the very same exact int comes back: the
+folds of one pair at k = 1..8 and both baselines on it read and shift
+the multiplicand once. A call that needs more than 1 MiB takes a buffer
+of its own and frees it at its end. The pure lane keeps nothing between
+calls.
 
 seeded_bits(entropy, m, count) gives the values
 draw_bits(np.random.default_rng(entropy), m, count) gives, for the
@@ -73,6 +82,7 @@ def classical_multiply(a, b):
 def csd_multiply(a, b):
     """Signed-digit product on the chosen lane; returns (product, adds)."""
     plus, minus = naf_masks(b)
-    p, p_adds = classical_multiply(a, plus)
-    q, q_adds = classical_multiply(a, minus)
+    # classical_multiply's two folds, called directly
+    p, p_adds = fold_multiply(a, plus, (a | plus).bit_length() or 1, 1)[:2]
+    q, q_adds = fold_multiply(a, minus, (a | minus).bit_length() or 1, 1)[:2]
     return p - q, p_adds + q_adds

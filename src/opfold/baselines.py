@@ -63,18 +63,24 @@ class SignedDigitString:
         return BitNum(self.plus) - BitNum(self.minus)
 
 
-def _check_width(width):
-    """Refuse a k = 1 fold of width bits that folding.multiply refuses."""
-    if width > folding._M_MAX[1]:
-        folding._validate_multiply(width, 1)
+# _M_MAX[1], the widest k = 1 fold multiply admits; the baselines test a
+# width against it inline and call _validate_multiply only to raise the
+# error of a refused one
+_WIDTH_MAX = folding._M_MAX[1]
+_new = object.__new__
 
 
 def classical_multiply(A, B):
     """Accumulate-and-add product; count = weight(B) exactly."""
     a, b = A._value, B._value
-    _check_width((a | b).bit_length())
+    width = (a | b).bit_length()
+    if width > _WIDTH_MAX:
+        folding._validate_multiply(width, 1)
     product, count = _k.classical_multiply(a, b)
-    return BitNum._wrap(product), count
+    # BitNum._wrap inline, with no call frame, as in folding.multiply
+    p = _new(BitNum)
+    p._value = product
+    return p, count
 
 
 def csd_recode(B):
@@ -93,6 +99,10 @@ def csd_multiply(A, B):
     # the widest multiplier folded is the NAF's +1 mask, whose top bit is
     # that of b + (b >> 1) (naf_masks): one bit over b's when that sum
     # carries out
-    _check_width((a | b + (b >> 1)).bit_length())
+    width = (a | b + (b >> 1)).bit_length()
+    if width > _WIDTH_MAX:
+        folding._validate_multiply(width, 1)
     product, count = _k.csd_multiply(a, b)
-    return BitNum._wrap(product), count
+    p = _new(BitNum)
+    p._value = product
+    return p, count

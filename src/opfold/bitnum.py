@@ -21,7 +21,10 @@ class BitNum:
     __slots__ = ("_value",)
 
     def __init__(self, value=0):
-        if isinstance(value, BitNum):
+        # an exact int first: the common case, kept as the same object
+        if type(value) is int and value >= 0:
+            self._value = value
+        elif isinstance(value, BitNum):
             self._value = value._value
         elif isinstance(value, int):
             if value < 0:

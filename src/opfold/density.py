@@ -256,27 +256,34 @@ def _check_budget(b):
                          f"{MAX_BLOCK_BITS} bits")
 
 
-def bernoulli_block(b, delta, rng):
-    """Random b-bit block with independent Bernoulli(delta) bits: bit i is
-    set iff the i-th double of rng.random(b) is below delta, for a numpy
-    Generator rng (_kernel.bernoulli_bits). Both kernel lanes draw through
-    a Generator's bit generator, and this is the one check that rng is
-    one."""
-    _check_budget(b)
-    _check_density(delta)
+def _check_generator(rng):
+    """Refuse an rng that is not a numpy Generator, before any draw: the
+    one check for both samplers and both kernel lanes."""
     # looked up per call: numpy loads numpy.random lazily, and importing it
     # with this module would add ~6 MB and its import time to every command
     if not isinstance(rng, np.random.Generator):
         raise TypeError("rng must be a numpy.random.Generator, got "
                         f"{type(rng).__name__}")
+
+
+def bernoulli_block(b, delta, rng):
+    """Random b-bit block with independent Bernoulli(delta) bits: bit i is
+    set iff the i-th double of rng.random(b) is below delta, for a numpy
+    Generator rng (_kernel.bernoulli_bits). Both kernel lanes draw through
+    a Generator's bit generator."""
+    _check_budget(b)
+    _check_density(delta)
+    _check_generator(rng)
     return BitNum._wrap(_k.bernoulli_bits(rng, b, delta))
 
 
 def exact_weight_block(b, w, rng):
-    """Random b-bit block with exactly w set bits (variance reduction)."""
+    """Random b-bit block with exactly w set bits (variance reduction),
+    drawn by rng.choice for a numpy Generator rng."""
     _check_budget(b)
     if not 0 <= w <= b:
         raise ValueError(f"weight {w} outside 0..{b}")
+    _check_generator(rng)
     bits = np.zeros(b, bool)
     bits[rng.choice(b, size=w, replace=False)] = True
     return BitNum._wrap(_k._from_bits(bits))

@@ -38,7 +38,11 @@ from .bitnum import BitNum
 # lanes, and 52 MB at k = 5, m = 3,000,000 (charged 14 MB); 156 MB at
 # k = 1 when B's top bit is set, since the compiled lane reads B's columns
 # 8 at a time and keeps no per-column array; pure lane 272 MB and 31 MB,
-# the first mostly its per-column pattern array and list.
+# the first mostly its per-column pattern array and list. Between calls
+# the compiled lane keeps at most 1 MiB of working buffer, holding the
+# last two operands' kernel forms, and references to those two ints, at
+# most about 1 MiB more; a call that needs more takes a buffer of its own
+# and frees it, so the 2**24-bit multiply leaves no buffer behind.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512
 K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
@@ -107,6 +111,7 @@ class CostLedger:
 # set through the class's __dict__ descriptor, past the frozen __setattr__
 # that the generated __init__ calls once per field
 _set_ledger_dict = CostLedger.__dict__["__dict__"].__set__
+_new = object.__new__
 
 
 def split(B, m, k):
@@ -244,9 +249,9 @@ def multiply(A, B, m, k):
         _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     product, acc, comb, horner, shifts, peak = _k.fold_multiply(a, b, m, k)
     # BitNum._wrap and CostLedger's fields set inline, with no call frame
-    p = object.__new__(BitNum)
+    p = _new(BitNum)
     p._value = product
-    ledger = object.__new__(CostLedger)
+    ledger = _new(CostLedger)
     _set_ledger_dict(ledger, {
         "accumulate_adds": acc, "combine_adds": comb, "horner_adds": horner,
         "shifts": shifts, "peak_cell_bits": peak})

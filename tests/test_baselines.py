@@ -332,9 +332,13 @@ def test_recode_holds_naf_masks():
         assert (sd.plus, sd.minus) == _corepy.naf_masks(b)
 
 
-def test_baselines_refuse_a_fold_over_the_bank_budget():
+def test_baselines_refuse_a_fold_over_the_bank_budget(monkeypatch):
     # both baselines are the k = 1 fold, so they refuse a width that
-    # multiply refuses at k = 1; only the refused side is built
+    # multiply refuses at k = 1, before any kernel call; only the refused
+    # side is built
+    kernel_calls = []
+    monkeypatch.setattr(_kernel, "fold_multiply",
+                        lambda *args: kernel_calls.append(args))
     m_max = folding._M_MAX[1]
     over = f"k = 1 at m = {m_max + 1} needs an accumulator bank over the " \
            f"budget of {folding.BANK_BUDGET_BITS} bits"
@@ -349,3 +353,4 @@ def test_baselines_refuse_a_fold_over_the_bank_budget():
     with pytest.raises(ValueError) as info:
         csd_multiply(zero, BitNum(0b11 << (m_max - 2)))
     assert str(info.value) == over
+    assert kernel_calls == []

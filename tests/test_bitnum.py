@@ -141,11 +141,16 @@ def test_parse_forms():
     assert BitNum.parse("0b0").to_int() == 0
     with pytest.raises(ValueError):
         BitNum.parse("-5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsigned"):
         BitNum(-1)
-    with pytest.raises(TypeError):
-        BitNum(1.5)
+    for value in (1.5, 1.0):
+        with pytest.raises(TypeError, match="from float"):
+            BitNum(value)
     assert BitNum(BitNum(5)) == BitNum(5)
+    # an exact int is kept as the same object; a bool becomes a plain int
+    for x in (0, 5, 1 << 300):
+        assert BitNum(x)._value is x
+    assert type(BitNum(True)._value) is int and BitNum(True)._value == 1
 
 
 def test_comparisons_and_hash():

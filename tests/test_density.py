@@ -308,6 +308,19 @@ def test_bernoulli_block_takes_a_generator_only():
     assert np.array_equal(rng.get_state()[1], state)
 
 
+@pytest.mark.parametrize("rng", [np.random.RandomState(1), None],
+                         ids=["random-state", "none"])
+def test_exact_weight_block_takes_a_generator_only(rng):
+    # the same check and message as bernoulli_block, before any draw
+    state = rng.get_state()[1].copy() if rng is not None else None
+    with pytest.raises(TypeError) as info:
+        exact_weight_block(8, 3, rng)
+    assert str(info.value) == "rng must be a numpy.random.Generator, got " \
+        f"{type(rng).__name__}"
+    if state is not None:
+        assert np.array_equal(rng.get_state()[1], state)
+
+
 @pytest.mark.parametrize("cls, args", [
     (SplitOutcome, (BitNum(1), BitNum(2), BitNum(0), 0.5, 0.5, 0.0)),
     (LevelStats, (1, 3, 3, 5, 4, 0.25)),

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from opfold import _corepy, _kernel
+from opfold import _corepy, _kernel, baselines
 from opfold.bitnum import BitNum, random_bitnums
 from opfold.costmodel import measure_mean
 from opfold.density import bernoulli_block
@@ -209,6 +209,133 @@ def test_compiled_lane_refuses_bad_arguments(corec, args):
 def test_compiled_lane_refuses_non_ints(corec):
     with pytest.raises(TypeError):
         corec.fold_multiply(1.0, 1, 8, 2)
+
+
+# The compiled lane keeps the last multiplicand's shifted copies and the
+# last multiplier's bytes between calls, and reuses them when the same int
+# object comes back. Every call below is checked against the pure lane,
+# which keeps nothing.
+
+def test_kept_operand_serves_every_shape(corec):
+    # one a across every (m, k) with a fresh b, then one b with a fresh a
+    # of changing width; k falls and rises, so n, and the copies needed,
+    # grow past those already built
+    rng = random.Random(23)
+    kept = rng.getrandbits(40) | 1 << 39
+    for m in (40, 41, 64, 100, 257, 1000):
+        for k in (12, 8, 3, 1, 5, 10, 2):
+            _check(corec, kept, rng.getrandbits(m), m, k)
+            _check(corec, rng.getrandbits(rng.randint(1, m)), kept, m, k)
+            _check(corec, kept, kept, m, k)
+
+
+def test_alternating_multiplicands(corec):
+    rng = random.Random(2)
+    b = rng.getrandbits(300)
+    for a, other in ((rng.getrandbits(300), rng.getrandbits(300)),
+                     (rng.getrandbits(300), rng.getrandbits(20)),
+                     (0, rng.getrandbits(299))):
+        for k in (1, 5, 8, 1):
+            _check(corec, a, b, 300, k)
+            _check(corec, other, b, 300, k)
+
+
+def test_equal_but_distinct_operand(corec):
+    a, b = (1 << 500) - 12345, (1 << 499) + 977
+    for x in (a, b):
+        twin = int.from_bytes(x.to_bytes(63, "little"), "little")
+        assert twin == x and twin is not x
+        for k in (1, 4):
+            _check(corec, a, b, 500, k)
+            _check(corec, twin, b, 500, k)
+            _check(corec, a, twin, 500, k)
+
+
+@pytest.mark.parametrize("refused", [
+    (1 << 200, 3, 200, 4), (5, 1 << 200, 200, 4), (5, 3, 200, 0)],
+    ids=["wide-a", "wide-b", "k-zero"])
+def test_refused_call_between_two_hits(corec, refused):
+    a, b = (1 << 200) - 1, (1 << 200) - 7
+    _check(corec, a, b, 200, 4)
+    with pytest.raises(ValueError):
+        corec.fold_multiply(*refused)
+    _check(corec, a, b, 200, 4)
+    _check(corec, a, b, 200, 3)
+
+
+def test_call_over_one_mib_then_small(corec):
+    # a 2**18-bit multiplicand's 32 copies take 2 MiB, so the call drops
+    # both kept operands and frees its buffer; a sparse multiplier keeps
+    # the pure lane quick
+    m = 1 << 18
+    big, sparse = (1 << m) - 1, 1 | 1 << (m - 1)
+    small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
+    _check(corec, small_a, small_b, 100, 3)
+    for k in (1, 8):
+        _check(corec, big, sparse, m, k)
+        _check(corec, small_a, small_b, 100, 3)
+        _check(corec, big, small_b, m, k)
+    _check(corec, sparse, small_b, m, 1)
+    _check(corec, small_a, sparse, m, 8)
+    # kept operands, then a bank over 1 MiB at k = 15 on the same objects
+    _check(corec, small_a, small_b, 100, 3)
+    _check(corec, small_a, small_b, 100, 15)
+    _check(corec, small_a, small_b, 100, 3)
+
+
+def test_int_subclass_operand_is_not_kept(corec):
+    # a kept operand is released inside a later call; an int subclass's
+    # __del__ could then run the kernel on the buffer in use, so only exact
+    # ints are kept, and this one is dropped as soon as its call returns
+    results = []
+
+    class Dying(int):
+        def __del__(self):
+            results.append(corec.fold_multiply(7, 5, 8, 2))
+
+    a, b = (1 << 200) - 3, (1 << 199) + 11
+    assert corec.fold_multiply(Dying(a), b, 200, 4) == \
+        _corepy.fold_multiply(a, b, 200, 4)
+    assert results == [_corepy.fold_multiply(7, 5, 8, 2)]
+    assert corec.fold_multiply(a, Dying(b), 200, 4) == \
+        _corepy.fold_multiply(a, b, 200, 4)
+    assert len(results) == 2
+    _check(corec, b, a, 200, 4)
+    _check(corec, a, b, 200, 4)
+
+
+def _nonzero_columns(b, m, k):
+    n = -(-m // k)
+    cols = 0
+    for j in range(k):
+        cols |= b >> (j * n) & (1 << n) - 1
+    return cols.bit_count()
+
+
+def test_oracle_sequence_on_kept_operands(corec, monkeypatch):
+    # criterion 1's calls for one pair: k = 1..8, then both baselines,
+    # which reuse a throughout and b up to the signed-digit masks
+    monkeypatch.setattr(_kernel, "fold_multiply", corec.fold_multiply)
+    rng = random.Random(1)
+    for _ in range(200):
+        m = rng.randint(8, 256)
+        a, b = rng.getrandbits(m), rng.getrandbits(m)
+        A, B = BitNum(a), BitNum(b)
+        for k in range(1, 9):
+            product, ledger = multiply(A, B, m, k)
+            n = -(-m // k)
+            assert product.to_int() == a * b, (a, b, m, k)
+            assert (ledger.accumulate_adds, ledger.combine_adds,
+                    ledger.horner_adds, ledger.shifts) == \
+                (_nonzero_columns(b, m, k), (1 << k + 1) - 2 * k - 2, k - 1,
+                 n + k - 1), (a, b, m, k)
+            assert (a * b, *vars(ledger).values()) == \
+                _corepy.fold_multiply(a, b, m, k), (a, b, m, k)
+        product, count = baselines.classical_multiply(A, B)
+        assert (product.to_int(), count) == (a * b, b.bit_count())
+        product, count = baselines.csd_multiply(A, B)
+        assert (product.to_int(), count) == \
+            (a * b, (b + (b >> 1) ^ b >> 1).bit_count())
 
 
 RNG = object()  # stands for a fresh numpy Generator in the rows below
