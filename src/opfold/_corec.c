@@ -1,8 +1,12 @@
 /* Compiled lane of the kernel layer: _corepy.fold_multiply,
-   _corepy.seeded_bits and _corepy.bernoulli_bits in C.
+   _corepy.fold_trials, _corepy.seeded_bits and _corepy.bernoulli_bits in
+   C.
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
-   runs the same schedule, so products and ledgers are identical.
+   runs the same schedule, so products and ledgers are identical. It loads
+   its operands, through the cache below, and fold_phases runs
+   accumulate, combine and Horner for it and for fold_trials; no other
+   copy of the phases exists.
 
    Numbers are arrays of 32-bit limbs, lowest first, each held in a 64-bit
    lane. add_shifted adds x << s, 0 <= s < 32, to a run of lanes, reading
@@ -31,10 +35,24 @@
    1 MiB drops both operands and the buffer, takes a zeroed one from
    calloc, whose untouched pages stay out of RSS as a sparsely filled
    bank's mostly do, and frees it at its end, so a 2**24-bit multiply
-   still returns its ~150 MB; between calls at most 1 MiB stays. Under AddressSanitizer the buffer past the
-   call's working set is poisoned, so an overrun traps as one past an
-   exact-size allocation would. The buffer takes no lock: that is safe
-   only because fold_multiply never releases the GIL.
+   still returns its ~150 MB; between calls at most 1 MiB stays. Under
+   AddressSanitizer the buffer past the call's working set is poisoned,
+   so an overrun traps as one past an exact-size allocation would. The
+   buffer takes no lock: that is safe only because neither fold_multiply
+   nor fold_trials releases the GIL.
+
+   fold_trials(seed, m, k, trials) runs a sweep point in one call. Trial t
+   draws the pair seeded_bits((seed, m, k, t), m, 2) returns, from the
+   same stream, straight into copy 0 and b_bytes, takes each operand's
+   width from its top nonzero word, and runs fold_phases, the product's
+   resolved limbs included; only the product int is never built. It
+   returns the accumulate, combine and Horner counts summed over the
+   trials and the sum of the squared totals, each kept in an unsigned
+   __int128. Its trials overwrite the kept operands' regions, so each
+   trial drops both cached operands first; a trial whose buffer passes
+   1 MiB takes the calloc-and-free path. It calls PyErr_CheckSignals
+   between trials, so Ctrl-C stops a long point; since a signal handler
+   may run fold_multiply, nothing in the buffer outlives a trial.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
@@ -78,8 +96,9 @@
      so the module needs a 64-bit gcc or clang; where it does not build,
      setup.py installs without it and the pure lane runs.
    Generator.bytes keeps the little-endian bytes of those outputs, so
-   value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
-   and all values are cut from one buffer.
+   value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits.
+   next_word reads that stream word by word, low half of each output
+   first, for seeded_bits and fold_trials alike.
 
    bernoulli_bits(rng, b, delta) draws from rng the b doubles rng.random(b)
    would: it calls the next_double of rng.bit_generator's public
@@ -92,10 +111,11 @@
    rng without those attributes raises AttributeError, and a capsule of
    another name ValueError, before any draw.
 
-   fold_multiply, seeded_bits and bernoulli_bits are vectorcall entry
-   points (METH_FASTCALL, PEP 590): each reads its arguments from the
-   caller's array, and fold_multiply builds its result with PyTuple_New,
-   so a call makes no argument tuple and parses no format string. */
+   fold_multiply, fold_trials, seeded_bits and bernoulli_bits are
+   vectorcall entry points (METH_FASTCALL, PEP 590): each reads its
+   arguments from the caller's array, and the folds build their results
+   with PyTuple_New, so a call makes no argument tuple and parses no
+   format string. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -239,14 +259,15 @@ read_bytes(PyObject *x, unsigned char *out, size_t len)
                                      ) : 0;
 }
 
-/* *total += count * size, or -1 if that overflows size_t */
+/* *total += count * size, or -1 if that overflows size_t; the builtins
+   test for overflow with no division, which costs as much as a small
+   fold's set-up */
 static int
 reserve(size_t *total, size_t count, size_t size)
 {
-    if (size && count > (SIZE_MAX - *total) / size)
-        return -1;
-    *total += count * size;
-    return 0;
+    size_t bytes;
+    return __builtin_mul_overflow(count, size, &bytes)
+           || __builtin_add_overflow(*total, bytes, total) ? -1 : 0;
 }
 
 /* The entry points check their arguments as PyArg_ParseTuple did, with
@@ -286,13 +307,13 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* fold_multiply's buffer (see the header), kept between calls up to
+/* The folds' buffer (see the header), kept between calls up to
    KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the first
    cached_copies of them the copies of cached_a, and b_bytes at
    cached_b_off holds cached_b; a cache is NULL when its region holds
-   nothing reusable. No lock guards it: fold_multiply never releases the
-   GIL and runs no Python code while the buffer is in use, so no other
-   call reaches it. */
+   nothing reusable. No lock guards it: the folds never release the GIL
+   and run no Python code while the buffer is in use, so no other call
+   reaches it. */
 #define COPY_SLOTS 32
 #define KEEP_BYTES ((size_t)1 << 20)
 static unsigned char *buf;
@@ -342,107 +363,126 @@ reserve_buffer(size_t total)
     return 0;
 }
 
-static PyObject *
-fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
-              Py_ssize_t nargs)
+/* 0, or -1 with ValueError set unless 1 <= k <= K_CEILING and
+   1 <= m < 2**32 */
+static int
+check_shape(Py_ssize_t m, Py_ssize_t k)
 {
-    Py_ssize_t m, k;
-    if (check_nargs("fold_multiply", nargs, 4) < 0
-            || int_arg("fold_multiply", args, 0) < 0
-            || int_arg("fold_multiply", args, 1) < 0
-            || ssize_arg(args[2], &m) < 0 || ssize_arg(args[3], &k) < 0)
-        return NULL;
-    PyObject *a = args[0], *b = args[1];
     if (k < 1 || k > K_CEILING) {
         PyErr_Format(PyExc_ValueError, "k must be in 1..%d, got %zd",
                      K_CEILING, k);
-        return NULL;
+        return -1;
     }
     if (m < 1 || (uint64_t)m >> 32) {
         PyErr_Format(PyExc_ValueError, "m must be in 1..2**32 - 1, got %zd",
                      m);
-        return NULL;
+        return -1;
     }
-    Py_ssize_t a_bits = operand_bits(a, "multiplicand", m);
-    Py_ssize_t b_bits = a_bits < 0 ? -1 : operand_bits(b, "multiplier", m);
-    if (b_bits < 0)
-        return NULL;
+    return 0;
+}
 
+/* One fold's sizes, and where plan_fold and place_fold put its regions in
+   buf: the copies of A, b_bytes, then the working set */
+typedef struct {
+    Py_ssize_t k;
+    size_t n, la, b_len, ncols, nparts, b_pad, cell_len, ncopies, prod_len;
+    size_t b_off, b_lanes, total;
+    lane *copies, *cells, *prod;
+    unsigned char *b_bytes, *a_bytes, *prod_bytes, *filled;
+} fold;
+
+/* f's sizes for operands of a_bits and b_bits bits: 0, or -1 if its
+   buffer would pass SIZE_MAX */
+static int
+plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
+{
     size_t n = (size_t)(m / k + (m % k != 0));
-    size_t ncells = (size_t)1 << k;
-    size_t la = ((size_t)a_bits + 31) / 32;
-    size_t b_len = ((size_t)b_bits + 7) / 8;
+    f->k = k;
+    f->n = n;
+    f->la = (a_bits + 31) / 32;
+    f->b_len = (b_bits + 7) / 8;
     /* accumulate reads the first ncols columns of the nparts parts that
        start below b_bits: bits8 at pos < last + ncols, with last the top
        such part's offset, which reads bytes pos / 8 and pos / 8 + 1. So b
        is held zero-padded to b_pad bytes */
-    size_t ncols = (size_t)b_bits < n ? (size_t)b_bits : n;
-    size_t nparts = ((size_t)b_bits + n - 1) / n;
-    size_t last = nparts ? (nparts - 1) * n : 0;
-    size_t b_pad = (last + ncols) / 8 + 2;
-    size_t cell_len = la + (n + 31) / 32;
-    size_t ncopies = n < COPY_SLOTS ? n : COPY_SLOTS;
+    f->ncols = b_bits < n ? b_bits : n;
+    f->nparts = (b_bits + n - 1) / n;
+    size_t last = f->nparts ? (f->nparts - 1) * n : 0;
+    f->b_pad = (last + f->ncols) / 8 + 2;
+    f->cell_len = f->la + (n + 31) / 32;
+    f->ncopies = n < COPY_SLOTS ? n : COPY_SLOTS;
     /* Horner adds cell_len + 1 limbs at limb (k - 1) * n / 32 at most */
-    size_t prod_len = (size_t)(k - 1) * n / 32 + cell_len + 1;
-    /* copies, then b_bytes rounded up to whole lanes, then the working
-       set */
-    size_t b_off = COPY_SLOTS * (la + 1) * sizeof(lane), total = b_off;
-    if (reserve(&total, (b_pad + 7) / 8, sizeof(lane)) < 0
-            || reserve(&total, ncells, cell_len * sizeof(lane)) < 0
-            || reserve(&total, prod_len, sizeof(lane)) < 0
-            || reserve(&total, 4 * (la + prod_len) + ncells, 1) < 0)
-        return PyErr_NoMemory();
-    int zeroed = reserve_buffer(total);
-    if (zeroed < 0)
-        return PyErr_NoMemory();
-    lane *copies = (lane *)buf;
-    unsigned char *b_bytes = buf + b_off;
-    lane *cells = (lane *)(b_bytes + (b_pad + 7) / 8 * sizeof(lane));
-    lane *prod = cells + ncells * cell_len;
-    unsigned char *a_bytes = (unsigned char *)(prod + prod_len);
-    unsigned char *prod_bytes = a_bytes + 4 * la;
-    unsigned char *filled = prod_bytes + 4 * prod_len;
-    /* cells 1 .. ncells - 1 and prod, which follows them; cell 0 is never
-       used, so it is never touched */
-    if (!zeroed) {
-        memset(cells + cell_len, 0,
-               ((ncells - 1) * cell_len + prod_len) * sizeof(lane));
-        memset(filled, 0, ncells);
-    }
+    f->prod_len = (size_t)(k - 1) * n / 32 + f->cell_len + 1;
+    /* b's region also holds the whole 32-bit words of an m-bit value,
+       which fold_trials draws into it before it knows b's width */
+    size_t b_room = 4 * (((size_t)m + 31) / 32);
+    f->b_lanes = ((b_room > f->b_pad ? b_room : f->b_pad) + 7) / 8;
+    /* copies, then b_bytes in whole lanes, then the working set */
+    f->b_off = COPY_SLOTS * (f->la + 1) * sizeof(lane);
+    f->total = f->b_off;
+    return reserve(&f->total, f->b_lanes, sizeof(lane)) < 0
+           || reserve(&f->total, (size_t)1 << k,
+                      f->cell_len * sizeof(lane)) < 0
+           || reserve(&f->total, f->prod_len, sizeof(lane)) < 0
+           || reserve(&f->total, 4 * (f->la + f->prod_len) + ((size_t)1 << k),
+                      1) < 0 ? -1 : 0;
+}
 
-    /* each cache is invalidated before its region is rebuilt and set only
-       once the rebuild is done; a rebuilt a of another width moves b_off */
-    size_t built = a == cached_a ? cached_copies : 0;
-    if (!built) {
-        Py_CLEAR(cached_a);
-        if (read_bytes(a, a_bytes, 4 * la) < 0)
-            goto fail;
-        for (size_t t = 0; t < la; t++)
-            copies[t] = load_le32(a_bytes + 4 * t);
-        copies[la] = 0;
-        built = 1;
+/* Point f's regions into buf, which holds f->total bytes, and zero cells
+   1 .. 2**k - 1, prod, which follows them, and filled, unless zeroed says
+   the whole buffer is zero; cell 0 is never used, so it is never
+   touched */
+static void
+place_fold(fold *f, int zeroed)
+{
+    size_t ncells = (size_t)1 << f->k;
+    f->copies = (lane *)buf;
+    f->b_bytes = buf + f->b_off;
+    f->cells = (lane *)(f->b_bytes + f->b_lanes * sizeof(lane));
+    f->prod = f->cells + ncells * f->cell_len;
+    f->a_bytes = (unsigned char *)(f->prod + f->prod_len);
+    f->prod_bytes = f->a_bytes + 4 * f->la;
+    f->filled = f->prod_bytes + 4 * f->prod_len;
+    if (!zeroed) {
+        memset(f->cells + f->cell_len, 0,
+               ((ncells - 1) * f->cell_len + f->prod_len) * sizeof(lane));
+        memset(f->filled, 0, ncells);
     }
-    if (built < ncopies) {
-        if (!zeroed)
-            memset(copies + built * (la + 1), 0,
-                   (ncopies - built) * (la + 1) * sizeof(lane));
-        for (size_t s = built; s < ncopies; s++)
-            add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
-        built = ncopies;
-    }
-    if (!cached_a && PyLong_CheckExact(a))
-        cached_a = Py_NewRef(a);
-    cached_copies = built;
-    if (b != cached_b || b_off != cached_b_off) {
-        Py_CLEAR(cached_b);
-        if (read_bytes(b, b_bytes, b_len) < 0)
-            goto fail;
-        if (PyLong_CheckExact(b)) {
-            cached_b = Py_NewRef(b);
-            cached_b_off = b_off;
-        }
-    }
-    memset(b_bytes + b_len, 0, b_pad - b_len);
+}
+
+/* Copies built .. ncopies - 1 of A from copy 0, each shifted by its index,
+   in slots zeroed first unless zeroed says they are; returns the copies
+   now built */
+static size_t
+shift_copies(const fold *f, size_t built, int zeroed)
+{
+    if (built >= f->ncopies)
+        return built;
+    lane *copies = f->copies;
+    size_t la = f->la;
+    if (!zeroed)
+        memset(copies + built * (la + 1), 0,
+               (f->ncopies - built) * (la + 1) * sizeof(lane));
+    for (size_t s = built; s < f->ncopies; s++)
+        add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
+    return f->ncopies;
+}
+
+/* The fold's three phases over the copies of A and b's b_len bytes, which
+   it pads with zeros to b_pad, into the zeroed working set: prod ends as
+   the product's resolved limbs. Sets the accumulate and combine counts
+   and peak_cell_bits */
+static void
+fold_phases(const fold *f, Py_ssize_t *acc_out, Py_ssize_t *comb_out,
+            Py_ssize_t *peak_out)
+{
+    memset(f->b_bytes + f->b_len, 0, f->b_pad - f->b_len);
+    const lane *copies = f->copies;
+    const unsigned char *b_bytes = f->b_bytes;
+    lane *cells = f->cells, *prod = f->prod;
+    unsigned char *filled = f->filled;
+    size_t n = f->n, la = f->la, cell_len = f->cell_len;
+    size_t ncols = f->ncols, nparts = f->nparts;
 
     /* accumulate, 8 columns i0 .. i0 + 7 at a time. Column i's pattern has
        bit j set iff bit i of part j + 1, bit j*n + i of b, is set. Byte
@@ -485,7 +525,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
        per round, all counted; an add from an unfilled (zero) cell leaves
        its destination as it is, so it is skipped */
     Py_ssize_t comb_adds = 0;
-    for (Py_ssize_t r = k; r >= 1; r--) {
+    for (Py_ssize_t r = f->k; r >= 1; r--) {
         size_t base = (size_t)1 << (r - 1);
         lane *top = cells + base * cell_len;
         for (size_t j = 1; j < base; j++) {
@@ -502,7 +542,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     /* Horner: part product j + 1, in cell 2**j, resolved and added at bit
        offset j*n; the peak is the widest of them */
     Py_ssize_t peak = 0;
-    for (size_t j = 0; j < (size_t)k; j++) {
+    for (size_t j = 0; j < (size_t)f->k; j++) {
         size_t v = (size_t)1 << j, off = j * n;
         if (!filled[v])
             continue;
@@ -513,12 +553,71 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
             peak = bits;
         add_shifted(prod + off / 32, cell, cell_len, (unsigned)(off % 32));
     }
-    resolve(prod, prod_len);
-    for (size_t t = 0; t < prod_len; t++)
-        store_le32(prod_bytes + 4 * t, (uint32_t)prod[t]);
+    resolve(prod, f->prod_len);
+    *acc_out = acc_adds;
+    *comb_out = comb_adds;
+    *peak_out = peak;
+}
+
+static PyObject *
+fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
+              Py_ssize_t nargs)
+{
+    Py_ssize_t m, k;
+    if (check_nargs("fold_multiply", nargs, 4) < 0
+            || int_arg("fold_multiply", args, 0) < 0
+            || int_arg("fold_multiply", args, 1) < 0
+            || ssize_arg(args[2], &m) < 0 || ssize_arg(args[3], &k) < 0
+            || check_shape(m, k) < 0)
+        return NULL;
+    PyObject *a = args[0], *b = args[1];
+    Py_ssize_t a_bits = operand_bits(a, "multiplicand", m);
+    Py_ssize_t b_bits = a_bits < 0 ? -1 : operand_bits(b, "multiplier", m);
+    if (b_bits < 0)
+        return NULL;
+
+    fold f;
+    if (plan_fold(&f, m, k, (size_t)a_bits, (size_t)b_bits) < 0)
+        return PyErr_NoMemory();
+    int zeroed = reserve_buffer(f.total);
+    if (zeroed < 0)
+        return PyErr_NoMemory();
+    place_fold(&f, zeroed);
+
+    /* each cache is invalidated before its region is rebuilt and set only
+       once the rebuild is done; a rebuilt a of another width moves b_off */
+    size_t built = a == cached_a ? cached_copies : 0;
+    if (!built) {
+        Py_CLEAR(cached_a);
+        if (read_bytes(a, f.a_bytes, 4 * f.la) < 0)
+            goto fail;
+        for (size_t t = 0; t < f.la; t++)
+            f.copies[t] = load_le32(f.a_bytes + 4 * t);
+        f.copies[f.la] = 0;
+        built = 1;
+    }
+    built = shift_copies(&f, built, zeroed);
+    if (!cached_a && PyLong_CheckExact(a))
+        cached_a = Py_NewRef(a);
+    cached_copies = built;
+    if (b != cached_b || f.b_off != cached_b_off) {
+        Py_CLEAR(cached_b);
+        if (read_bytes(b, f.b_bytes, f.b_len) < 0)
+            goto fail;
+        if (PyLong_CheckExact(b)) {
+            cached_b = Py_NewRef(b);
+            cached_b_off = f.b_off;
+        }
+    }
+
+    Py_ssize_t acc_adds, comb_adds, peak;
+    fold_phases(&f, &acc_adds, &comb_adds, &peak);
+    for (size_t t = 0; t < f.prod_len; t++)
+        store_le32(f.prod_bytes + 4 * t, (uint32_t)f.prod[t]);
     /* the buffer is done with before anything that may run Python code:
        a large one goes back to the system, with the operands it caches */
-    PyObject *product = _PyLong_FromByteArray(prod_bytes, 4 * prod_len, 1, 0);
+    PyObject *product = _PyLong_FromByteArray(f.prod_bytes, 4 * f.prod_len,
+                                              1, 0);
     if (buf_cap > KEEP_BYTES)
         release_buffer();
     /* (product, *counts); a failed tuple frees the slots it filled */
@@ -528,7 +627,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         return NULL;
     }
     PyTuple_SET_ITEM(result, 0, product);
-    Py_ssize_t counts[] = {acc_adds, comb_adds, k - 1, (Py_ssize_t)n + k - 1,
+    Py_ssize_t counts[] = {acc_adds, comb_adds, k - 1, (Py_ssize_t)f.n + k - 1,
                            peak};
     for (int i = 0; i < 5; i++) {
         PyObject *x = PyLong_FromSsize_t(counts[i]);
@@ -638,6 +737,17 @@ done:
     return rc;
 }
 
+/* Feed x as 32-bit words, lowest first, as feed_entry feeds an int: 0 is
+   one zero word */
+static void
+feed_size(seed_seq *s, uint64_t x)
+{
+    do {
+        feed(s, (uint32_t)x);
+        x >>= 32;
+    } while (x);
+}
+
 /* One LCG step, state = state * multiplier + inc mod 2**128, then the
    XSL-RR output of the new state */
 static uint64_t
@@ -649,23 +759,49 @@ pcg_next(uint128 *state, uint128 inc)
     return x >> rot | x << (-rot & 63);
 }
 
-/* PCG64 seeded from the pool as SeedSequence.generate_state(4, uint64) */
+/* PCG64's outputs as Generator.bytes keeps them: 32-bit words, the low
+   half of each output first */
+typedef struct {
+    uint128 state, inc;
+    uint64_t high;  /* the last output's high half, while has_high */
+    int has_high;
+} word_stream;
+
+/* The stream of pool s, padded with zero words to POOL_SIZE words, with
+   PCG64 seeded as SeedSequence.generate_state(4, uint64) */
 static void
-pcg_seed(const seed_seq *s, uint128 *state, uint128 *inc)
+pcg_seed(seed_seq s, word_stream *g)
 {
+    while (s.fed < POOL_SIZE)
+        feed(&s, 0);
     uint32_t hash = INIT_B;
     uint64_t w[4] = {0, 0, 0, 0};
     for (int i = 0; i < 8; i++) {
-        uint32_t v = s->pool[i % POOL_SIZE] ^ hash;
+        uint32_t v = s.pool[i % POOL_SIZE] ^ hash;
         hash *= MULT_B;
         v *= hash;
         w[i / 2] |= (uint64_t)(v ^ v >> 16) << 32 * (i % 2);
     }
-    *inc = ((uint128)w[2] << 64 | w[3]) << 1 | 1;
-    *state = 0;
-    pcg_next(state, *inc);
-    *state += (uint128)w[0] << 64 | w[1];
-    pcg_next(state, *inc);
+    g->inc = ((uint128)w[2] << 64 | w[3]) << 1 | 1;
+    g->state = 0;
+    pcg_next(&g->state, g->inc);
+    g->state += (uint128)w[0] << 64 | w[1];
+    pcg_next(&g->state, g->inc);
+    g->has_high = 0;
+}
+
+/* The stream's next word */
+static uint32_t
+next_word(word_stream *g)
+{
+    if (g->has_high) {
+        g->has_high = 0;
+        return (uint32_t)g->high;
+    }
+    uint64_t x = pcg_next(&g->state, g->inc);
+    g->high = x >> 32;
+    g->has_high = 1;
+    return (uint32_t)x;
 }
 
 static PyObject *
@@ -692,8 +828,6 @@ seeded_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
     else if (feed_entry(&s, entropy) < 0)
         return NULL;
-    while (s.fed < POOL_SIZE)
-        feed(&s, 0);
     if (m < 0 || count < 0) {
         PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %zd",
                      m < 0 ? "m" : "count", m < 0 ? m : count);
@@ -702,22 +836,18 @@ seeded_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
 
     size_t nbytes = ((size_t)m + 7) / 8;
     size_t stride = ((size_t)m + 31) / 32 * 4;
-    size_t total = 7;  /* rounds the draw up to whole 64-bit outputs */
+    size_t total = 0;
     if (reserve(&total, (size_t)count, stride) < 0)
         return PyErr_NoMemory();
-    total -= total % 8;
     unsigned char *data = malloc(total ? total : 1);
     if (!data)
         return PyErr_NoMemory();
     PyObject *result = PyTuple_New(count);
     if (result) {
-        uint128 state, inc;
-        pcg_seed(&s, &state, &inc);
-        for (size_t t = 0; t < total; t += 8) {
-            uint64_t x = pcg_next(&state, inc);
-            store_le32(data + t, (uint32_t)x);
-            store_le32(data + t + 4, (uint32_t)(x >> 32));
-        }
+        word_stream g;
+        pcg_seed(s, &g);
+        for (size_t t = 0; t < total; t += 4)
+            store_le32(data + t, next_word(&g));
     }
     for (Py_ssize_t i = 0; result && i < count; i++) {
         unsigned char *v = data + (size_t)i * stride;
@@ -730,6 +860,109 @@ seeded_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_CLEAR(result);
     }
     free(data);
+    return result;
+}
+
+/* x as an int */
+static PyObject *
+long_from_uint128(uint128 x)
+{
+    unsigned char bytes[16];
+    for (int i = 0; i < 4; i++)
+        store_le32(bytes + 4 * i, (uint32_t)(x >> 32 * i));
+    return _PyLong_FromByteArray(bytes, 16, 1, 0);
+}
+
+/* fold_trials(seed, m, k, trials): trial t folds the two m-bit values
+   seeded_bits((seed, m, k, t), m, 2) returns, drawn straight into copy 0
+   and b_bytes, and runs every phase fold_multiply runs but the product
+   int. Returns the sums over the trials of the accumulate, combine and
+   Horner counts and of each trial's squared total */
+static PyObject *
+fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
+            Py_ssize_t nargs)
+{
+    Py_ssize_t m, k, trials;
+    if (check_nargs("fold_trials", nargs, 4) < 0
+            || ssize_arg(args[1], &m) < 0 || ssize_arg(args[2], &k) < 0
+            || ssize_arg(args[3], &trials) < 0 || check_shape(m, k) < 0)
+        return NULL;
+    if (trials < 0) {
+        PyErr_Format(PyExc_ValueError, "trials must be >= 0, got %zd",
+                     trials);
+        return NULL;
+    }
+    seed_seq seeded = {.hash = INIT_A};
+    if (feed_entry(&seeded, args[0]) < 0)
+        return NULL;
+    /* every trial fits the buffer of two full-width operands */
+    fold f;
+    if (plan_fold(&f, m, k, (size_t)m, (size_t)m) < 0)
+        return PyErr_NoMemory();
+    size_t full = f.total, words = ((size_t)m + 31) / 32;
+    uint32_t top_mask = m % 32 ? (1u << m % 32) - 1 : LIMB_MASK;
+    /* acc, comb, horner and total**2: a total stays below 2**33, so
+       the sums fit 128 bits for any trials below 2**62 */
+    uint128 sums[4] = {0, 0, 0, 0};
+    for (Py_ssize_t t = 0; t < trials; t++) {
+        /* a signal handler may run any Python code, fold_multiply too, so
+           nothing in buf outlives a trial, and the kept operands, whose
+           regions the trial overwrites, are dropped before each one */
+        if (PyErr_CheckSignals() < 0)
+            return NULL;
+        Py_CLEAR(cached_a);
+        Py_CLEAR(cached_b);
+        int zeroed = reserve_buffer(full);
+        if (zeroed < 0)
+            return PyErr_NoMemory();
+        seed_seq s = seeded;
+        feed_size(&s, (uint64_t)m);
+        feed_size(&s, (uint64_t)k);
+        feed_size(&s, (uint64_t)t);
+        word_stream g;
+        pcg_seed(s, &g);
+        /* A's words go into copy 0 and b's into b_bytes, each masked to
+           m bits; an operand's width is that of its top nonzero word. The
+           layout follows A's width, known only after its draw, so the
+           draw's zero words past A's top limb may land in later regions:
+           each of those is drawn over, zeroed before use, or never read */
+        lane *copy0 = (lane *)buf;
+        size_t a_bits = 0, b_bits = 0;
+        for (size_t w = 0; w < words; w++) {
+            copy0[w] = next_word(&g) & (w + 1 < words ? LIMB_MASK : top_mask);
+            if (copy0[w])
+                a_bits = 32 * w + 64 - (size_t)__builtin_clzll(copy0[w]);
+        }
+        plan_fold(&f, m, k, a_bits, 0);
+        for (size_t w = 0; w < words; w++) {
+            uint32_t x = next_word(&g)
+                         & (w + 1 < words ? LIMB_MASK : top_mask);
+            store_le32(buf + f.b_off + 4 * w, x);
+            if (x)
+                b_bits = 32 * w + 32 - (size_t)__builtin_clz(x);
+        }
+        plan_fold(&f, m, k, a_bits, b_bits);
+        place_fold(&f, zeroed);
+        f.copies[f.la] = 0;
+        shift_copies(&f, 1, zeroed);
+        Py_ssize_t acc_adds, comb_adds, peak;
+        fold_phases(&f, &acc_adds, &comb_adds, &peak);
+        if (buf_cap > KEEP_BYTES)
+            release_buffer();
+        uint64_t total = (uint64_t)(acc_adds + comb_adds + k - 1);
+        sums[0] += (uint64_t)acc_adds;
+        sums[1] += (uint64_t)comb_adds;
+        sums[2] += (uint64_t)(k - 1);
+        sums[3] += (uint128)total * total;
+    }
+    PyObject *result = PyTuple_New(4);
+    for (int i = 0; result && i < 4; i++) {
+        PyObject *x = long_from_uint128(sums[i]);
+        if (x)
+            PyTuple_SET_ITEM(result, i, x);
+        else
+            Py_CLEAR(result);
+    }
     return result;
 }
 
@@ -823,6 +1056,13 @@ static PyMethodDef corec_methods[] = {
      "Fused folded multiply of ints 0 <= a, b < 2**m with 1 <= k <= 27.\n"
      "Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,\n"
      "peak_cell_bits), as _corepy.fold_multiply does."},
+    {"fold_trials", (PyCFunction)(void (*)(void))fold_trials,
+     METH_FASTCALL,
+     "fold_trials(seed, m, k, trials)\n--\n\n"
+     "Ledger sums of trials folds of the operand pairs\n"
+     "seeded_bits((seed, m, k, t), m, 2), t = 0 .. trials - 1: returns\n"
+     "(accumulate_adds, combine_adds, horner_adds, total_squares), as\n"
+     "_corepy.fold_trials does."},
     {"seeded_bits", (PyCFunction)(void (*)(void))seeded_bits,
      METH_FASTCALL,
      "seeded_bits(entropy, m, count)\n--\n\n"
@@ -841,8 +1081,8 @@ static PyMethodDef corec_methods[] = {
 static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_corec",
-    .m_doc = "Compiled lane of the kernel layer: fold_multiply, seeded_bits "
-             "and bernoulli_bits.",
+    .m_doc = "Compiled lane of the kernel layer: fold_multiply, "
+             "fold_trials, seeded_bits and bernoulli_bits.",
     .m_size = -1,
     .m_methods = corec_methods,
 };

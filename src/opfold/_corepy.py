@@ -13,8 +13,9 @@ fold is the classical baseline: one cell, one addition per set bit of b.
 
 draw_bits holds the one rule that cuts m-bit operands from a numpy
 Generator's bytes; seeded_bits applies it to a fresh default_rng, and is
-the pure-lane twin of _corec.seeded_bits. _from_bits is the one
-bit-array-to-int rule, and bernoulli_bits packs a Generator's
+the pure-lane twin of _corec.seeded_bits. fold_trials runs a sweep
+point's trials on those draws, as _corec.fold_trials does. _from_bits is
+the one bit-array-to-int rule, and bernoulli_bits packs a Generator's
 `random(b) < delta` with it, as _corec.bernoulli_bits draws it.
 """
 
@@ -152,6 +153,27 @@ def fold_multiply(a, b, m, k):
         shifts += 1
         horner_adds += 1
     return p, acc_adds, comb_adds, horner_adds, shifts, peak
+
+
+def fold_trials(seed, m, k, trials):
+    """The ledger sums of `trials` folds: trial t folds the two m-bit values
+    seeded_bits((seed, m, k, t), m, 2) gives. Returns the accumulate,
+    combine and Horner counts summed over the trials, and the sum of each
+    trial's squared total, as _corec.fold_trials does. Caller validates
+    (m, k), as for fold_multiply."""
+    trials = operator.index(trials)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    acc_sum = comb_sum = horner_sum = total_sq = 0
+    for t in range(trials):
+        _, acc, comb, horner, _, _ = fold_multiply(
+            *seeded_bits((seed, m, k, t), m, 2), m, k)
+        acc_sum += acc
+        comb_sum += comb
+        horner_sum += horner
+        total = acc + comb + horner
+        total_sq += total * total
+    return acc_sum, comb_sum, horner_sum, total_sq
 
 
 def classical_multiply(a, b):

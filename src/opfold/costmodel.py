@@ -14,6 +14,7 @@ Ties go to the larger k, which is what places the exact integer crossings
 """
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -171,24 +172,21 @@ def measure_mean(m, k, trials, seed):
     entropy (seed, m, k, t), the pair a fresh default_rng([seed, m, k, t])
     gives on both kernel lanes, so results are independent of trial
     ordering and batch size. (m, k) is checked once, before any operand is
-    drawn, and every drawn value fits m bits, so each trial calls the fold
-    kernel on the ints directly and sums accumulate + combine + Horner
-    adds from its tuple: the ledger total folding.multiply would report,
-    without wrapping the operands or building the ledger.
+    drawn, and every drawn value fits m bits, so the point is one
+    _kernel.fold_trials call: it returns the accumulate, combine and
+    Horner counts summed over the trials, whose sum is the total of the
+    ledgers folding.multiply would report, and the sum of the squared
+    totals. On the compiled lane that call builds no int per trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > sys.maxsize:
+        raise ValueError(f"trials must be <= {sys.maxsize}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     folding._validate_multiply(m, k)
-    total = 0
-    total_sq = 0
-    for t in range(trials):
-        _, acc, comb, horner, _, _ = _k.fold_multiply(
-            *_k.seeded_bits((seed, m, k, t), m, 2), m, k)
-        adds = acc + comb + horner
-        total += adds
-        total_sq += adds * adds
+    acc, comb, horner, total_sq = _k.fold_trials(seed, m, k, trials)
+    total = acc + comb + horner
     mean = total / trials
     if trials > 1:
         var = (total_sq - trials * mean * mean) / (trials - 1)

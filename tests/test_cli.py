@@ -2,6 +2,7 @@
 
 import hashlib
 import shlex
+import sys
 import tracemalloc
 
 import pytest
@@ -394,6 +395,9 @@ def test_default_seed_is_zero(capsys):
      f"the cap of {cli.MAX_GRID_POINTS}"),
     (["bench", "--m-range", "1:2:3:4"],
      "bad range '1:2:3:4' for --m-range, expected lo:hi[:step]"),
+    (["bench", "--m-range", "8", "--k-range", "2", "--trials",
+      "99999999999999999999"],
+     f"trials must be <= {sys.maxsize}, got 99999999999999999999"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
         "missing-required", "missing-required-hdl", "bad-int",
@@ -401,7 +405,8 @@ def test_default_seed_is_zero(capsys):
         "flag-with-value", "bench-m-range-not-int", "bench-k-range-not-int",
         "bench-m-list-not-int", "optk-m-range-not-int", "bench-m-range-empty",
         "optk-m-range-empty", "bench-k-range-over-cap",
-        "optk-m-range-over-cap", "bench-m-range-four-fields"])
+        "optk-m-range-over-cap", "bench-m-range-four-fields",
+        "bench-trials-past-ssize"])
 def test_command_line_fault_exits_2_with_one_error_line(argv, message,
                                                         capsys):
     try:

@@ -6,8 +6,10 @@ these tests check the C source whether or not a built copy sits in src/.
 They skip only when the build itself fails.
 """
 
+import contextlib
 import datetime
 import random
+import signal
 import threading
 import time
 from fractions import Fraction
@@ -366,11 +368,25 @@ RNG = object()  # stands for a fresh numpy Generator in the rows below
     ("bernoulli_bits", (RNG, 8, "x"), ValueError),
     ("bernoulli_bits", (RNG, 8.0, 0.5), TypeError),
     ("bernoulli_bits", (RNG, 1 << 63, 0.5), OverflowError),
+    ("fold_trials", (), TypeError),
+    ("fold_trials", (1, 8, 2), TypeError),
+    ("fold_trials", (1, 8, 2, 1, 0), TypeError),
+    ("fold_trials", (1.0, 8, 2, 1), TypeError),
+    ("fold_trials", ("1", 8, 2, 1), TypeError),
+    ("fold_trials", (1, 8.0, 2, 1), TypeError),
+    ("fold_trials", (1, 8, 2, 1.0), TypeError),
+    ("fold_trials", (1, 1 << 63, 2, 1), OverflowError),
+    ("fold_trials", (1, 8, 2, 1 << 63), OverflowError),
+    ("fold_trials", (-1, 8, 2, 1), ValueError),
+    ("fold_trials", (1, 8, 2, -1), ValueError),
+    ("fold_trials", (1, 0, 2, 1), ValueError),
+    ("fold_trials", (1, 8, K_CEILING + 1, 1), ValueError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_entry_points_refuse_as_the_tuple_parser_did(corec, name, args,
                                                      error):
     # the exception types PyArg_ParseTuple raised for these before the
-    # entry points took their arguments by vectorcall
+    # entry points took their arguments by vectorcall; fold_trials, which
+    # never had a tuple parser, follows them
     args = tuple(np.random.default_rng(1) if x is RNG else x for x in args)
     with pytest.raises(error):
         getattr(corec, name)(*args)
@@ -389,7 +405,12 @@ def test_entry_points_take_bools_and_numpy_ints(corec):
         assert corec.bernoulli_bits(np.random.default_rng(3), b, 0.5) == \
             corec.bernoulli_bits(np.random.default_rng(3), 100, 0.5)
     assert corec.bernoulli_bits(np.random.default_rng(3), True, 1.0) == 1
-    for name in ("fold_multiply", "seeded_bits", "bernoulli_bits"):
+    assert corec.fold_trials(np.uint8(3), np.int64(64), np.int32(2),
+                             np.int16(3)) == corec.fold_trials(3, 64, 2, 3)
+    assert corec.fold_trials(True, True, True, True) == \
+        corec.fold_trials(1, 1, 1, 1)
+    for name in ("fold_multiply", "fold_trials", "seeded_bits",
+                 "bernoulli_bits"):
         with pytest.raises(TypeError, match="keyword"):
             getattr(corec, name)(m=8)
 
@@ -451,11 +472,114 @@ def test_seeded_bits_take_numpy_and_bare_int_entries(corec):
 def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
     def means(lane):
         monkeypatch.setattr(_kernel, "fold_multiply", lane.fold_multiply)
+        monkeypatch.setattr(_kernel, "fold_trials", lane.fold_trials)
         monkeypatch.setattr(_kernel, "seeded_bits", lane.seeded_bits)
         return ([measure_mean(m, k, 3, 7) for m in range(1, 65)
                  for k in range(1, 9)], measure_mean(1024, 5, 1000, 2))
 
     assert means(corec) == means(_corepy)
+
+
+def _trial_sums(lane, seed, m, k, trials):
+    """fold_trials' 4-tuple, summed here from the lane's own seeded_bits
+    and fold_multiply, one trial at a time"""
+    sums = [0, 0, 0, 0]
+    for t in range(trials):
+        _, acc, comb, horner, _, _ = lane.fold_multiply(
+            *lane.seeded_bits((seed, m, k, t), m, 2), m, k)
+        sums[0] += acc
+        sums[1] += comb
+        sums[2] += horner
+        sums[3] += (acc + comb + horner) ** 2
+    return tuple(sums)
+
+
+def test_fold_trials_sums_the_per_trial_folds(corec):
+    seeds = (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) + 5)
+    cases = [(seed, m, k, trials)
+             for m in (1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 255, 1024, 4100)
+             for k in range(1, min(m, 10) + 1)
+             for seed in seeds for trials in (1, 3)]
+    for seed, m, k, trials in [*cases, (2, 1024, 5, 1000)]:
+        expected = corec.fold_trials(seed, m, k, trials)
+        assert expected == _trial_sums(corec, seed, m, k, trials), \
+            (seed, m, k, trials)
+        assert _corepy.fold_trials(seed, m, k, trials) == expected == \
+            _trial_sums(_corepy, seed, m, k, trials), (seed, m, k, trials)
+    assert corec.fold_trials(5, 64, 3, 0) == \
+        _corepy.fold_trials(5, 64, 3, 0) == (0, 0, 0, 0)
+
+
+def test_fold_trials_drops_the_kept_operands(corec):
+    # fold_trials draws over the regions of the kept multiplicand and
+    # multiplier, so the next fold_multiply of the same objects rebuilds
+    # them
+    a, b = (1 << 300) - 12345, (1 << 299) + 977
+    first = corec.fold_multiply(a, b, 300, 4)
+    assert first == _corepy.fold_multiply(a, b, 300, 4)
+    assert corec.fold_trials(9, 300, 4, 3) == _trial_sums(corec, 9, 300, 4, 3)
+    assert corec.fold_multiply(a, b, 300, 4) == first
+    assert corec.fold_trials(9, 300, 4, 3) == _trial_sums(corec, 9, 300, 4, 3)
+
+
+def test_fold_trials_over_one_mib_then_small(corec):
+    # a 2**18-bit multiplicand's 32 copies take 2 MiB, so each trial takes
+    # the calloc-and-free path; at k = 1 a trial's only adds are the
+    # multiplier's set bits
+    m = 1 << 18
+    pairs = [corec.seeded_bits((3, m, 1, t), m, 2) for t in range(2)]
+    weights = [b.bit_count() for _, b in pairs]
+    assert corec.fold_trials(3, m, 1, 2) == \
+        (sum(weights), 0, 0, sum(w * w for w in weights))
+    small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
+    _check(corec, small_a, small_b, 100, 3)
+    assert corec.fold_trials(4, 100, 3, 2) == _corepy.fold_trials(4, 100, 3, 2)
+    _check(corec, small_a, small_b, 100, 3)
+
+
+@contextlib.contextmanager
+def _on_alarm(handler, seconds, interval=0.0):
+    """Run handler on SIGALRM, which fires after seconds and then every
+    interval, until the block ends"""
+    old = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds, interval)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_fold_trials_stops_on_a_signal(corec):
+    class Stop(Exception):
+        pass
+
+    def stop(signum, frame):
+        raise Stop
+
+    start = time.monotonic()
+    with _on_alarm(stop, 0.05), pytest.raises(Stop):
+        corec.fold_trials(1, 1024, 5, 10**9)
+    assert time.monotonic() - start < 5
+    assert corec.fold_trials(1, 1024, 5, 3) == \
+        _corepy.fold_trials(1, 1024, 5, 3)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_fold_trials_survives_a_handler_that_folds(corec):
+    # a handler runs between trials and may keep operands of its own in the
+    # buffer; every trial still draws and folds its own pair
+    a, b = (1 << 1000) - 7, (1 << 999) + 3
+    seen = []
+
+    def fold(signum, frame):
+        seen.append(corec.fold_multiply(a, b, 1000, 5))
+
+    with _on_alarm(fold, 0.001, 0.001):
+        got = corec.fold_trials(6, 1024, 5, 20000)
+    assert seen and set(seen) == {_corepy.fold_multiply(a, b, 1000, 5)}
+    assert got == _trial_sums(corec, 6, 1024, 5, 20000)
 
 
 def _mean_stderr(totals):
@@ -475,6 +599,7 @@ def test_measure_mean_is_the_mean_of_multiply_ledgers(lane, request,
     module = request.getfixturevalue("corec") if lane == "compiled" \
         else _corepy
     monkeypatch.setattr(_kernel, "fold_multiply", module.fold_multiply)
+    monkeypatch.setattr(_kernel, "fold_trials", module.fold_trials)
     monkeypatch.setattr(_kernel, "seeded_bits", module.seeded_bits)
     shapes = [(m, k, 3, 7) for m in range(1, 65) for k in range(1, 9)]
     for m, k, trials, seed in [*shapes, (1024, 5, 200, 2)]:
