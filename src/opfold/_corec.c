@@ -1,6 +1,5 @@
 /* Compiled lane of the kernel layer: _corepy.fold_multiply,
-   _corepy.fold_trials, _corepy.seeded_bits and _corepy.bernoulli_bits in
-   C.
+   _corepy.fold_trials and _corepy.bernoulli_bits in C.
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
    runs the same schedule, so products and ledgers are identical. It loads
@@ -42,17 +41,21 @@
    nor fold_trials releases the GIL.
 
    fold_trials(seed, m, k, trials) runs a sweep point in one call. Trial t
-   draws the pair seeded_bits((seed, m, k, t), m, 2) returns, from the
-   same stream, straight into copy 0 and b_bytes, takes each operand's
-   width from its top nonzero word, and runs fold_phases, the product's
-   resolved limbs included; only the product int is never built. It
-   returns the accumulate, combine and Horner counts summed over the
-   trials and the sum of the squared totals, each kept in an unsigned
-   __int128. Its trials overwrite the kept operands' regions, so each
-   trial drops both cached operands first; a trial whose buffer passes
-   1 MiB takes the calloc-and-free path. It calls PyErr_CheckSignals
-   between trials, so Ctrl-C stops a long point; since a signal handler
-   may run fold_multiply, nothing in the buffer outlives a trial.
+   draws the two m-bit values a fresh numpy.random.default_rng([seed, m,
+   k, t]) gives, from the stream below, straight into copy 0 and b_bytes,
+   takes each operand's width from its top nonzero word, and runs
+   fold_phases, the product's resolved limbs included; only the product
+   int is never built. It returns the accumulate, combine and Horner
+   counts summed over the trials, the sum of the squared totals and the
+   sum of the products mod 2**32 - 1, each kept in an unsigned __int128.
+   The counts depend on the multiplier alone; the residue, the sum of
+   the product's resolved limbs folded once, is what lets the lane-parity
+   tests see the multiplicand's half of a trial. Its trials overwrite the
+   kept operands' regions, so each trial drops both cached operands
+   first; a trial whose buffer passes 1 MiB takes the calloc-and-free
+   path. It calls PyErr_CheckSignals between trials, so Ctrl-C stops a
+   long point; since a signal handler may run fold_multiply, nothing in
+   the buffer outlives a trial.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
@@ -76,15 +79,14 @@
    A * 2**n and fits len(A) + ceil(n / 32) limbs, and each of its lanes
    sums at most n limbs, which fits 64 bits for m < 2**32.
 
-   seeded_bits(entropy, m, count) returns the values
-   random_bitnums(m, numpy.random.default_rng(entropy), count) holds, bit
-   for bit, without building a Generator. The stream is numpy's own
-   (numpy/random/bit_generator.pyx, numpy/random/src/pcg64):
+   The stream fold_trials draws from is numpy's own
+   (numpy/random/bit_generator.pyx, numpy/random/src/pcg64), for the
+   entropy (seed, m, k, t):
    - SeedSequence: each entropy entry, a non-negative int, is split into
-     32-bit words lowest first (0 is one zero word). The first 4 words are
-     hashed into a 4-word pool (zero words pad a shorter entropy), every
-     pool word is mixed with the hash of every other one, and each later
-     word is hashed and mixed into every pool word. generate_state hashes
+     32-bit words lowest first (0 is one zero word), so the entropy has at
+     least 4 words. The first 4 are hashed into a 4-word pool, every pool
+     word is mixed with the hash of every other one, and each later word
+     is hashed and mixed into every pool word. generate_state hashes
      the pool, cycled, into 8 words: 4 little-endian uint64 s0..s3. The
      hashmix/mix constants are those of O'Neill's seed_seq_fe.
    - PCG64 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
@@ -96,9 +98,9 @@
      so the module needs a 64-bit gcc or clang; where it does not build,
      setup.py installs without it and the pure lane runs.
    Generator.bytes keeps the little-endian bytes of those outputs, so
-   value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits.
-   next_word reads that stream word by word, low half of each output
-   first, for seeded_bits and fold_trials alike.
+   value i is the i-th run of ceil(m / 32) 32-bit words masked to m bits,
+   the rule _corepy.draw_bits applies in Python. next_word reads that
+   stream word by word, low half of each output first.
 
    bernoulli_bits(rng, b, delta) draws from rng the b doubles rng.random(b)
    would: it calls the next_double of rng.bit_generator's public
@@ -111,11 +113,10 @@
    rng without those attributes raises AttributeError, and a capsule of
    another name ValueError, before any draw.
 
-   fold_multiply, fold_trials, seeded_bits and bernoulli_bits are
-   vectorcall entry points (METH_FASTCALL, PEP 590): each reads its
-   arguments from the caller's array, and the folds build their results
-   with PyTuple_New, so a call makes no argument tuple and parses no
-   format string. */
+   fold_multiply, fold_trials and bernoulli_bits are vectorcall entry
+   points (METH_FASTCALL, PEP 590): each reads its arguments from the
+   caller's array, and the folds build their results with PyTuple_New, so
+   a call makes no argument tuple and parses no format string. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -767,13 +768,14 @@ typedef struct {
     int has_high;
 } word_stream;
 
-/* The stream of pool s, padded with zero words to POOL_SIZE words, with
-   PCG64 seeded as SeedSequence.generate_state(4, uint64) */
+/* The stream of pool s, with PCG64 seeded as
+   SeedSequence.generate_state(4, uint64). s must have taken at least
+   POOL_SIZE words, as numpy pads a shorter entropy with zero words:
+   fold_trials, the one caller, feeds at least one word for each of seed,
+   m, k and t */
 static void
 pcg_seed(seed_seq s, word_stream *g)
 {
-    while (s.fed < POOL_SIZE)
-        feed(&s, 0);
     uint32_t hash = INIT_B;
     uint64_t w[4] = {0, 0, 0, 0};
     for (int i = 0; i < 8; i++) {
@@ -804,65 +806,6 @@ next_word(word_stream *g)
     return (uint32_t)x;
 }
 
-static PyObject *
-seeded_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
-            Py_ssize_t nargs)
-{
-    Py_ssize_t m, count;
-    if (check_nargs("seeded_bits", nargs, 3) < 0
-            || ssize_arg(args[1], &m) < 0 || ssize_arg(args[2], &count) < 0)
-        return NULL;
-    PyObject *entropy = args[0];
-    seed_seq s = {.hash = INIT_A};
-    if (PySequence_Check(entropy)) {
-        PyObject *seq = PySequence_Fast(entropy, "entropy must be a sequence");
-        if (!seq)
-            return NULL;
-        int rc = 0;
-        for (Py_ssize_t i = 0; rc == 0 && i < PySequence_Fast_GET_SIZE(seq);
-             i++)
-            rc = feed_entry(&s, PySequence_Fast_GET_ITEM(seq, i));
-        Py_DECREF(seq);
-        if (rc < 0)
-            return NULL;
-    }
-    else if (feed_entry(&s, entropy) < 0)
-        return NULL;
-    if (m < 0 || count < 0) {
-        PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %zd",
-                     m < 0 ? "m" : "count", m < 0 ? m : count);
-        return NULL;
-    }
-
-    size_t nbytes = ((size_t)m + 7) / 8;
-    size_t stride = ((size_t)m + 31) / 32 * 4;
-    size_t total = 0;
-    if (reserve(&total, (size_t)count, stride) < 0)
-        return PyErr_NoMemory();
-    unsigned char *data = malloc(total ? total : 1);
-    if (!data)
-        return PyErr_NoMemory();
-    PyObject *result = PyTuple_New(count);
-    if (result) {
-        word_stream g;
-        pcg_seed(s, &g);
-        for (size_t t = 0; t < total; t += 4)
-            store_le32(data + t, next_word(&g));
-    }
-    for (Py_ssize_t i = 0; result && i < count; i++) {
-        unsigned char *v = data + (size_t)i * stride;
-        if (m % 8)
-            v[nbytes - 1] &= (1u << m % 8) - 1;
-        PyObject *x = _PyLong_FromByteArray(v, nbytes, 1, 0);
-        if (x)
-            PyTuple_SET_ITEM(result, i, x);
-        else
-            Py_CLEAR(result);
-    }
-    free(data);
-    return result;
-}
-
 /* x as an int */
 static PyObject *
 long_from_uint128(uint128 x)
@@ -874,10 +817,11 @@ long_from_uint128(uint128 x)
 }
 
 /* fold_trials(seed, m, k, trials): trial t folds the two m-bit values
-   seeded_bits((seed, m, k, t), m, 2) returns, drawn straight into copy 0
-   and b_bytes, and runs every phase fold_multiply runs but the product
-   int. Returns the sums over the trials of the accumulate, combine and
-   Horner counts and of each trial's squared total */
+   default_rng([seed, m, k, t]) gives, drawn straight into copy 0 and
+   b_bytes, and runs every phase fold_multiply runs but the product int.
+   Returns the sums over the trials of the accumulate, combine and Horner
+   counts, of each trial's squared total and of each product mod
+   2**32 - 1 */
 static PyObject *
 fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
@@ -901,9 +845,10 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         return PyErr_NoMemory();
     size_t full = f.total, words = ((size_t)m + 31) / 32;
     uint32_t top_mask = m % 32 ? (1u << m % 32) - 1 : LIMB_MASK;
-    /* acc, comb, horner and total**2: a total stays below 2**33, so
-       the sums fit 128 bits for any trials below 2**62 */
-    uint128 sums[4] = {0, 0, 0, 0};
+    /* acc, comb, horner, total**2 and the residue: a total stays below
+       2**33 and a residue below 2**32, so the sums fit 128 bits for any
+       trials below 2**62 */
+    uint128 sums[5] = {0, 0, 0, 0, 0};
     for (Py_ssize_t t = 0; t < trials; t++) {
         /* a signal handler may run any Python code, fold_multiply too, so
            nothing in buf outlives a trial, and the kept operands, whose
@@ -947,6 +892,11 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         shift_copies(&f, 1, zeroed);
         Py_ssize_t acc_adds, comb_adds, peak;
         fold_phases(&f, &acc_adds, &comb_adds, &peak);
+        /* 2**32 is 1 mod 2**32 - 1, so the product's residue is that of
+           the sum of its limbs, which fits 64 bits for m < 2**32 */
+        uint64_t limb_sum = 0;
+        for (size_t i = 0; i < f.prod_len; i++)
+            limb_sum += f.prod[i];
         if (buf_cap > KEEP_BYTES)
             release_buffer();
         uint64_t total = (uint64_t)(acc_adds + comb_adds + k - 1);
@@ -954,9 +904,10 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         sums[1] += (uint64_t)comb_adds;
         sums[2] += (uint64_t)(k - 1);
         sums[3] += (uint128)total * total;
+        sums[4] += limb_sum % LIMB_MASK;
     }
-    PyObject *result = PyTuple_New(4);
-    for (int i = 0; result && i < 4; i++) {
+    PyObject *result = PyTuple_New(5);
+    for (int i = 0; result && i < 5; i++) {
         PyObject *x = long_from_uint128(sums[i]);
         if (x)
             PyTuple_SET_ITEM(result, i, x);
@@ -1059,16 +1010,10 @@ static PyMethodDef corec_methods[] = {
     {"fold_trials", (PyCFunction)(void (*)(void))fold_trials,
      METH_FASTCALL,
      "fold_trials(seed, m, k, trials)\n--\n\n"
-     "Ledger sums of trials folds of the operand pairs\n"
-     "seeded_bits((seed, m, k, t), m, 2), t = 0 .. trials - 1: returns\n"
-     "(accumulate_adds, combine_adds, horner_adds, total_squares), as\n"
-     "_corepy.fold_trials does."},
-    {"seeded_bits", (PyCFunction)(void (*)(void))seeded_bits,
-     METH_FASTCALL,
-     "seeded_bits(entropy, m, count)\n--\n\n"
-     "count ints of m uniform bits from numpy's SeedSequence/PCG64 stream\n"
-     "for entropy, an int or a sequence of ints >= 0, as\n"
-     "_corepy.seeded_bits returns them."},
+     "Ledger sums of trials folds of the operand pairs that\n"
+     "default_rng([seed, m, k, t]) gives, t = 0 .. trials - 1: returns\n"
+     "(accumulate_adds, combine_adds, horner_adds, total_squares,\n"
+     "product_residues), as _corepy.fold_trials does."},
     {"bernoulli_bits", (PyCFunction)(void (*)(void))bernoulli_bits,
      METH_FASTCALL,
      "bernoulli_bits(rng, b, delta)\n--\n\n"
@@ -1082,7 +1027,7 @@ static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_corec",
     .m_doc = "Compiled lane of the kernel layer: fold_multiply, "
-             "fold_trials, seeded_bits and bernoulli_bits.",
+             "fold_trials and bernoulli_bits.",
     .m_size = -1,
     .m_methods = corec_methods,
 };

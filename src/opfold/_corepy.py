@@ -12,11 +12,12 @@ The product never comes from native `*`, so tests that check it against
 fold is the classical baseline: one cell, one addition per set bit of b.
 
 draw_bits holds the one rule that cuts m-bit operands from a numpy
-Generator's bytes; seeded_bits applies it to a fresh default_rng, and is
-the pure-lane twin of _corec.seeded_bits. fold_trials runs a sweep
-point's trials on those draws, as _corec.fold_trials does. _from_bits is
-the one bit-array-to-int rule, and bernoulli_bits packs a Generator's
-`random(b) < delta` with it, as _corec.bernoulli_bits draws it.
+Generator's bytes; seeded_bits applies it to a fresh default_rng, for
+both kernel lanes. fold_trials runs a sweep point's trials on those
+draws; _corec.fold_trials, which runs numpy's stream in C, cuts the same
+values by the same rule. _from_bits is the one bit-array-to-int rule,
+and bernoulli_bits packs a Generator's `random(b) < delta` with it, as
+_corec.bernoulli_bits draws it.
 """
 
 import operator
@@ -80,10 +81,9 @@ def draw_bits(rng, m, count):
 
 
 def seeded_bits(entropy, m, count):
-    """draw_bits from a fresh np.random.default_rng(entropy): the numpy
-    route of the stream that _corec.seeded_bits reproduces. Like _corec,
-    it takes one operator.index entry or a sequence of them, and refuses
-    None, nested sequences and string entries, which numpy would take."""
+    """draw_bits from a fresh np.random.default_rng(entropy). It takes one
+    operator.index entry or a sequence of them, and refuses None, nested
+    sequences and string entries, which numpy would take."""
     if isinstance(entropy, (Sequence, np.ndarray)):
         entropy = list(map(operator.index, entropy))
     else:
@@ -158,22 +158,24 @@ def fold_multiply(a, b, m, k):
 def fold_trials(seed, m, k, trials):
     """The ledger sums of `trials` folds: trial t folds the two m-bit values
     seeded_bits((seed, m, k, t), m, 2) gives. Returns the accumulate,
-    combine and Horner counts summed over the trials, and the sum of each
-    trial's squared total, as _corec.fold_trials does. Caller validates
-    (m, k), as for fold_multiply."""
+    combine and Horner counts summed over the trials, the sum of each
+    trial's squared total and the sum of each product mod 2**32 - 1, as
+    _corec.fold_trials does. Caller validates (m, k), as for
+    fold_multiply."""
     trials = operator.index(trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    acc_sum = comb_sum = horner_sum = total_sq = 0
+    acc_sum = comb_sum = horner_sum = total_sq = residues = 0
     for t in range(trials):
-        _, acc, comb, horner, _, _ = fold_multiply(
+        p, acc, comb, horner, _, _ = fold_multiply(
             *seeded_bits((seed, m, k, t), m, 2), m, k)
         acc_sum += acc
         comb_sum += comb
         horner_sum += horner
         total = acc + comb + horner
         total_sq += total * total
-    return acc_sum, comb_sum, horner_sum, total_sq
+        residues += p % 0xFFFFFFFF
+    return acc_sum, comb_sum, horner_sum, total_sq, residues
 
 
 def classical_multiply(a, b):

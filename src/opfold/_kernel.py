@@ -1,16 +1,15 @@
 """The kernel layer: one fold kernel, both baselines at k = 1, and draws.
 
-fold_multiply, fold_trials, seeded_bits and bernoulli_bits come from
-the compiled lane `_corec` when it is built (`python3 setup.py
-build_ext --inplace`) and from _corepy otherwise, all from one lane;
-KERNEL_NAME names the lane and KERNEL_REASON says why it was chosen.
-_corepy's NAF masks, the bit reader `_bit_flags` that
-SignedDigitString.digits is read with, its one bit packer `_from_bits`,
-and draw_bits, which cuts m-bit values from a caller's numpy Generator,
-are re-exported. folding.multiply, both baselines,
-costmodel.measure_mean and density.bernoulli_block call through this
-module, so the kernel stays one layer that can be timed, traced or
-replaced on its own.
+fold_multiply, fold_trials and bernoulli_bits come from the compiled
+lane `_corec` when it is built (`python3 setup.py build_ext --inplace`)
+and from _corepy otherwise, all from one lane; KERNEL_NAME names the
+lane and KERNEL_REASON says why it was chosen. _corepy's NAF masks, the
+bit reader `_bit_flags` that SignedDigitString.digits is read with, its
+one bit packer `_from_bits`, draw_bits, which cuts m-bit values from a
+caller's numpy Generator, and seeded_bits are re-exported on both
+lanes. folding.multiply, both baselines, costmodel.measure_mean and
+density.bernoulli_block call through this module, so the kernel stays
+one layer that can be timed, traced or replaced on its own.
 
 classical_multiply(a, b) is fold_multiply at k = 1, so its count is
 popcount(b). csd_multiply(a, b) folds the +1 and -1 masks of b's NAF,
@@ -26,18 +25,17 @@ the multiplicand once. A call that needs more than 1 MiB takes a buffer
 of its own and frees it at its end. The pure lane keeps nothing between
 calls.
 
-seeded_bits(entropy, m, count) gives the values
-draw_bits(np.random.default_rng(entropy), m, count) gives, for the
-entropy both lanes accept. The pure lane builds that Generator; the
-compiled lane runs numpy's SeedSequence and PCG64 in C and builds none,
-and its values are the same bit for bit.
+seeded_bits(entropy, m, count) is
+draw_bits(np.random.default_rng(entropy), m, count).
 
 fold_trials(seed, m, k, trials) runs one sweep point: trial t folds the
 pair seeded_bits((seed, m, k, t), m, 2), and the call returns
-(accumulate_adds, combine_adds, horner_adds, total_squares), each count
-summed over the trials and total_squares the sum of each trial's squared
-total. The pure lane loops over seeded_bits and fold_multiply. The
-compiled lane is one call: it draws each pair straight into the fold's
+(accumulate_adds, combine_adds, horner_adds, total_squares,
+product_residues), each count summed over the trials, total_squares the
+sum of each trial's squared total and product_residues the sum of each
+product mod 2**32 - 1. The pure lane loops over seeded_bits and
+fold_multiply. The compiled lane is one call: it runs numpy's
+SeedSequence and PCG64 in C, draws each pair straight into the fold's
 limbs, runs every phase fold_multiply runs, and builds no int per trial,
 not even the product. It drops the kept operands, since its trials
 overwrite their regions of the buffer. It never releases the GIL, and it
@@ -70,13 +68,12 @@ Horner shifts.
 """
 
 from . import _corepy
-from ._corepy import _bit_flags, _from_bits, draw_bits, naf_masks
+from ._corepy import _bit_flags, _from_bits, draw_bits, naf_masks, seeded_bits
 
 try:
-    from ._corec import bernoulli_bits, fold_multiply, fold_trials, seeded_bits
+    from ._corec import bernoulli_bits, fold_multiply, fold_trials
 except ImportError as exc:
-    from ._corepy import (bernoulli_bits, fold_multiply, fold_trials,
-                          seeded_bits)
+    from ._corepy import bernoulli_bits, fold_multiply, fold_trials
     KERNEL_NAME = _corepy.KERNEL_NAME
     KERNEL_REASON = f"compiled lane not importable: {exc}"
 else:

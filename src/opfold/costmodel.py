@@ -168,15 +168,17 @@ def table1():
 def measure_mean(m, k, trials, seed):
     """Sample mean/stderr of measured ledger totals over random operands.
 
-    Trial t multiplies the two m-bit values _kernel.seeded_bits draws for
-    entropy (seed, m, k, t), the pair a fresh default_rng([seed, m, k, t])
-    gives on both kernel lanes, so results are independent of trial
-    ordering and batch size. (m, k) is checked once, before any operand is
-    drawn, and every drawn value fits m bits, so the point is one
-    _kernel.fold_trials call: it returns the accumulate, combine and
+    Trial t multiplies the two m-bit values a fresh default_rng([seed, m,
+    k, t]) gives on both kernel lanes, so results are independent of
+    trial ordering and batch size. (m, k) is checked once, before any
+    operand is drawn, and every drawn value fits m bits, so the point is
+    one _kernel.fold_trials call: it returns the accumulate, combine and
     Horner counts summed over the trials, whose sum is the total of the
     ledgers folding.multiply would report, and the sum of the squared
-    totals. On the compiled lane that call builds no int per trial.
+    totals; its fifth figure, the summed product residues, is for the
+    lane-parity tests and is not read here. On the compiled lane that
+    call builds no int per trial, and draws the operands from numpy's
+    stream without building a Generator.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -185,7 +187,7 @@ def measure_mean(m, k, trials, seed):
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     folding._validate_multiply(m, k)
-    acc, comb, horner, total_sq = _k.fold_trials(seed, m, k, trials)
+    acc, comb, horner, total_sq, _ = _k.fold_trials(seed, m, k, trials)
     total = acc + comb + horner
     mean = total / trials
     if trials > 1:

@@ -353,14 +353,16 @@ RNG = object()  # stands for a fresh numpy Generator in the rows below
     ("fold_multiply", (1, 1, 8, 2.0), TypeError),
     ("fold_multiply", (1, 1, 1 << 63, 2), OverflowError),
     ("fold_multiply", (1, 1, 8, 1 << 63), OverflowError),
-    ("seeded_bits", (), TypeError),
-    ("seeded_bits", ((1,), 8), TypeError),
-    ("seeded_bits", ((1,), 8, 1, 0), TypeError),
-    ("seeded_bits", (1.0, 8, 1), TypeError),
-    ("seeded_bits", ("1", 8, 1), TypeError),
-    ("seeded_bits", ((1,), 8.0, 1), TypeError),
-    ("seeded_bits", ((1,), 8, 1.0), TypeError),
-    ("seeded_bits", ((1,), 1 << 63, 1), OverflowError),
+    # fold_trials' seed is the one entropy entry the C stream reads, an
+    # int and never a sequence; then the shape its k and m must fit
+    ("fold_trials", ((1,), 8, 2, 1), TypeError),
+    ("fold_trials", (None, 8, 2, 1), TypeError),
+    ("fold_trials", (-(1 << 100), 8, 2, 1), ValueError),
+    ("fold_trials", (1, 8, 2.0, 1), TypeError),
+    ("fold_trials", (1, 8, 1 << 63, 1), OverflowError),
+    ("fold_trials", (1, 8, 0, 1), ValueError),
+    ("fold_trials", (1, -1, 2, 1), ValueError),
+    ("fold_trials", (1, 1 << 32, 2, 1), ValueError),
     ("bernoulli_bits", (), TypeError),
     ("bernoulli_bits", (RNG, 8), TypeError),
     ("bernoulli_bits", (RNG, 8, 0.5, 0), TypeError),
@@ -398,9 +400,6 @@ def test_entry_points_take_bools_and_numpy_ints(corec):
     assert corec.fold_multiply(True, True, np.int64(8), np.int32(2)) == \
         corec.fold_multiply(1, 1, 8, 2) == (1, 1, 2, 1, 5, 1)
     assert corec.fold_multiply(True, False, True, True) == (0, 0, 0, 0, 1, 0)
-    assert corec.seeded_bits((1,), np.int64(64), np.int32(2)) == \
-        corec.seeded_bits((1,), 64, 2)
-    assert corec.seeded_bits(True, 64, True) == corec.seeded_bits((1,), 64, 1)
     for b in (np.int64(100), np.uint8(100)):
         assert corec.bernoulli_bits(np.random.default_rng(3), b, 0.5) == \
             corec.bernoulli_bits(np.random.default_rng(3), 100, 0.5)
@@ -409,8 +408,7 @@ def test_entry_points_take_bools_and_numpy_ints(corec):
                              np.int16(3)) == corec.fold_trials(3, 64, 2, 3)
     assert corec.fold_trials(True, True, True, True) == \
         corec.fold_trials(1, 1, 1, 1)
-    for name in ("fold_multiply", "fold_trials", "seeded_bits",
-                 "bernoulli_bits"):
+    for name in ("fold_multiply", "fold_trials", "bernoulli_bits"):
         with pytest.raises(TypeError, match="keyword"):
             getattr(corec, name)(m=8)
 
@@ -424,24 +422,34 @@ def _numpy_bits(entropy, m, count):
                  for i in range(0, count * stride, stride))
 
 
-def test_seeded_bits_match_numpy_stream(corec):
-    rng = random.Random(2014)
-    longer_than_pool = 0
-    for _ in range(3000):
-        entropy = tuple(rng.getrandbits(rng.choice((0, 1, 8, 32, 64, 100)))
-                        for _ in range(rng.randint(1, 6)))
-        longer_than_pool += sum(max(1, -(-e.bit_length() // 32))
-                                for e in entropy) > 4
-        m, count = rng.randint(1, 1100), rng.randint(1, 3)
-        assert corec.seeded_bits(entropy, m, count) == \
-            _numpy_bits(entropy, m, count), (entropy, m, count)
-    assert longer_than_pool > 500
+def test_seeded_bits_match_numpy_stream():
+    # the one seeded route, on both lanes, against the values cut here
     for m in (*range(1, 301), 1024):
         for count in (1, 2, 3):
             entropy = (20111, m, 5, count)
-            expected = _numpy_bits(entropy, m, count)
-            assert corec.seeded_bits(entropy, m, count) == expected, m
-            assert _corepy.seeded_bits(entropy, m, count) == expected, m
+            assert _kernel.seeded_bits(entropy, m, count) == \
+                _numpy_bits(entropy, m, count), m
+
+
+def test_fold_trials_draws_the_numpy_stream(corec):
+    # the C stream against the pure lane's draws through numpy. A seed
+    # over 32 bits takes more than one word, so with m, k and t the
+    # entropy outgrows the 4-word pool; the fifth figure, the products mod
+    # 2**32 - 1, checks both operands of every trial
+    rng = random.Random(2014)
+    longer_than_pool = 0
+    for _ in range(500):
+        seed = rng.getrandbits(rng.randint(0, 100))
+        m = rng.randint(1, 1100)
+        k, trials = rng.randint(1, min(m, 10)), rng.randint(1, 3)
+        longer_than_pool += seed >> 32 > 0
+        assert corec.fold_trials(seed, m, k, trials) == \
+            _corepy.fold_trials(seed, m, k, trials), (seed, m, k, trials)
+    assert longer_than_pool > 250
+    # a seed past 128 bits is read through a heap buffer
+    for seed in (2**200 + 5, 2**1000 - 1, 2**4096 - 7):
+        assert corec.fold_trials(seed, 64, 3, 2) == \
+            _corepy.fold_trials(seed, 64, 3, 2), seed
 
 
 @pytest.mark.parametrize("entropy, m, count, error", [
@@ -449,31 +457,40 @@ def test_seeded_bits_match_numpy_stream(corec):
     ((3,), -1, 1, ValueError), ((3,), 8, -1, ValueError), ((), 8, 2, None),
 ], ids=["negative-entry", "float-entry", "m-negative", "count-negative",
         "empty-entropy"])
-def test_seeded_bits_edges_follow_numpy(corec, entropy, m, count, error):
+def test_seeded_bits_edges_follow_numpy(entropy, m, count, error):
+    # random_bitnums from entropy, which _kernel.seeded_bits draws, against
+    # the same call on the Generator that entropy seeds
     if error is None:
-        expected = random_bitnums(m, np.random.default_rng(entropy), count)
-        assert corec.seeded_bits(entropy, m, count) == \
-            tuple(map(int, expected))
+        assert random_bitnums(m, entropy, count) == \
+            random_bitnums(m, np.random.default_rng(entropy), count)
         return
     # the numpy route refuses the same input with the same exception type
     with pytest.raises(error):
         random_bitnums(m, np.random.default_rng(entropy), count)
     with pytest.raises(error):
-        corec.seeded_bits(entropy, m, count)
+        random_bitnums(m, entropy, count)
 
 
-def test_seeded_bits_take_numpy_and_bare_int_entries(corec):
-    expected = corec.seeded_bits((5, 2), 64, 2)
-    assert corec.seeded_bits((np.int64(5), np.uint32(2)), 64, 2) == expected
-    assert corec.seeded_bits(5, 64, 2) == corec.seeded_bits((5,), 64, 2) \
+def test_seeded_bits_take_numpy_and_bare_int_entries():
+    expected = _kernel.seeded_bits((5, 2), 64, 2)
+    assert _kernel.seeded_bits((np.int64(5), np.uint32(2)), 64, 2) == expected
+    assert _kernel.seeded_bits(5, 64, 2) == _kernel.seeded_bits((5,), 64, 2) \
         == _numpy_bits((5,), 64, 2)
+
+
+def test_compiled_lane_exports_only_what_the_kernel_imports(corec):
+    # a C entry point that _kernel does not take is code no caller runs;
+    # the seeded draw is _corepy's on both lanes
+    public = {name for name in dir(corec)
+              if not name.startswith("_") and callable(getattr(corec, name))}
+    assert public == {"fold_multiply", "fold_trials", "bernoulli_bits"}
+    assert _kernel.seeded_bits is _corepy.seeded_bits
 
 
 def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
     def means(lane):
         monkeypatch.setattr(_kernel, "fold_multiply", lane.fold_multiply)
         monkeypatch.setattr(_kernel, "fold_trials", lane.fold_trials)
-        monkeypatch.setattr(_kernel, "seeded_bits", lane.seeded_bits)
         return ([measure_mean(m, k, 3, 7) for m in range(1, 65)
                  for k in range(1, 9)], measure_mean(1024, 5, 1000, 2))
 
@@ -481,16 +498,17 @@ def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
 
 
 def _trial_sums(lane, seed, m, k, trials):
-    """fold_trials' 4-tuple, summed here from the lane's own seeded_bits
-    and fold_multiply, one trial at a time"""
-    sums = [0, 0, 0, 0]
+    """fold_trials' 5-tuple, summed here one trial at a time from the
+    lane's fold_multiply counts and the native product's residue"""
+    sums = [0, 0, 0, 0, 0]
     for t in range(trials):
-        _, acc, comb, horner, _, _ = lane.fold_multiply(
-            *lane.seeded_bits((seed, m, k, t), m, 2), m, k)
+        a, b = _corepy.seeded_bits((seed, m, k, t), m, 2)
+        _, acc, comb, horner, _, _ = lane.fold_multiply(a, b, m, k)
         sums[0] += acc
         sums[1] += comb
         sums[2] += horner
         sums[3] += (acc + comb + horner) ** 2
+        sums[4] += a * b % 0xFFFFFFFF
     return tuple(sums)
 
 
@@ -507,7 +525,7 @@ def test_fold_trials_sums_the_per_trial_folds(corec):
         assert _corepy.fold_trials(seed, m, k, trials) == expected == \
             _trial_sums(_corepy, seed, m, k, trials), (seed, m, k, trials)
     assert corec.fold_trials(5, 64, 3, 0) == \
-        _corepy.fold_trials(5, 64, 3, 0) == (0, 0, 0, 0)
+        _corepy.fold_trials(5, 64, 3, 0) == (0, 0, 0, 0, 0)
 
 
 def test_fold_trials_drops_the_kept_operands(corec):
@@ -527,10 +545,11 @@ def test_fold_trials_over_one_mib_then_small(corec):
     # the calloc-and-free path; at k = 1 a trial's only adds are the
     # multiplier's set bits
     m = 1 << 18
-    pairs = [corec.seeded_bits((3, m, 1, t), m, 2) for t in range(2)]
+    pairs = [_corepy.seeded_bits((3, m, 1, t), m, 2) for t in range(2)]
     weights = [b.bit_count() for _, b in pairs]
     assert corec.fold_trials(3, m, 1, 2) == \
-        (sum(weights), 0, 0, sum(w * w for w in weights))
+        (sum(weights), 0, 0, sum(w * w for w in weights),
+         sum(a * b % 0xFFFFFFFF for a, b in pairs))
     small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
     _check(corec, small_a, small_b, 100, 3)
     assert corec.fold_trials(4, 100, 3, 2) == _corepy.fold_trials(4, 100, 3, 2)
@@ -569,7 +588,8 @@ def test_fold_trials_stops_on_a_signal(corec):
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
 def test_fold_trials_survives_a_handler_that_folds(corec):
     # a handler runs between trials and may keep operands of its own in the
-    # buffer; every trial still draws and folds its own pair
+    # buffer; every trial still draws and folds its own pair, so the sums
+    # are those of a call no handler interrupts
     a, b = (1 << 1000) - 7, (1 << 999) + 3
     seen = []
 
@@ -579,7 +599,7 @@ def test_fold_trials_survives_a_handler_that_folds(corec):
     with _on_alarm(fold, 0.001, 0.001):
         got = corec.fold_trials(6, 1024, 5, 20000)
     assert seen and set(seen) == {_corepy.fold_multiply(a, b, 1000, 5)}
-    assert got == _trial_sums(corec, 6, 1024, 5, 20000)
+    assert got == corec.fold_trials(6, 1024, 5, 20000)
 
 
 def _mean_stderr(totals):
@@ -600,12 +620,11 @@ def test_measure_mean_is_the_mean_of_multiply_ledgers(lane, request,
         else _corepy
     monkeypatch.setattr(_kernel, "fold_multiply", module.fold_multiply)
     monkeypatch.setattr(_kernel, "fold_trials", module.fold_trials)
-    monkeypatch.setattr(_kernel, "seeded_bits", module.seeded_bits)
     shapes = [(m, k, 3, 7) for m in range(1, 65) for k in range(1, 9)]
     for m, k, trials, seed in [*shapes, (1024, 5, 200, 2)]:
         totals = []
         for t in range(trials):
-            a, b = module.seeded_bits((seed, m, k, t), m, 2)
+            a, b = _corepy.seeded_bits((seed, m, k, t), m, 2)
             totals.append(multiply(BitNum(a), BitNum(b), m, k)[1].total)
         assert measure_mean(m, k, trials, seed) == _mean_stderr(totals), \
             (m, k)
@@ -648,16 +667,15 @@ def test_baselines_on_both_lanes(lane, request, monkeypatch):
 ], ids=["none", "str", "bytes", "nested", "str-entry", "float-entry",
         "dict", "set", "negative-entry", "range", "ndarray", "numpy-int",
         "200-bit-entry", "1000-bit-middle-entry", "4096-bit-int"])
-def test_lanes_accept_the_same_entropy(corec, entropy, expected):
-    # expected: the exception type both lanes raise, or the entries both
-    # lanes read the entropy as
-    for lane in (corec, _corepy):
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                lane.seeded_bits(entropy, 64, 2)
-        else:
-            assert lane.seeded_bits(entropy, 64, 2) == \
-                _numpy_bits(expected, 64, 2), lane
+def test_lanes_accept_the_same_entropy(entropy, expected):
+    # expected: the exception type the seeded draw raises, or the entries
+    # it reads the entropy as; both lanes draw through _corepy's
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            _kernel.seeded_bits(entropy, 64, 2)
+    else:
+        assert _kernel.seeded_bits(entropy, 64, 2) == \
+            _numpy_bits(expected, 64, 2)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
