@@ -20,13 +20,15 @@
    into the product with add_shifted.
 
    All of fold_multiply's memory is one module-level buffer that outlives
-   the call and grows with realloc. Its front holds the shifted copies of
-   the last multiplicand, and the next region the last multiplier's
+   the call and grows with realloc. Its front holds the 32 shifted copies
+   of the last multiplicand, and the next region the last multiplier's
    bytes, which each call pads with zeros as far as its accumulate reads;
    the call's working set follows, and each call zeroes only that. A call
-   whose a (or b) is the very int object the buffer was built from reuses
-   its region: criterion 1's folds of one pair at k = 1..8 and its two
-   baselines read and shift the multiplicand once. Only exact ints are
+   whose a is the very int object the copies were built from reuses them,
+   and one whose b is the very int object of the kept bytes reuses those:
+   criterion 1's folds of one pair at k = 1..8 and its two baselines read
+   and shift the multiplicand once. a's width places b's region, so a
+   rebuilt multiplicand drops the kept multiplier too. Only exact ints are
    cached, each held by a strong reference: an int is immutable, so
    identity implies value, and dropping one runs no __del__ while the
    buffer is in use. A cache is invalidated before its region is rebuilt
@@ -40,16 +42,17 @@
    buffer takes no lock: that is safe only because neither fold_multiply
    nor fold_trials releases the GIL.
 
-   fold_trials(seed, m, k, trials) runs a sweep point in one call. Trial t
-   draws the two m-bit values a fresh numpy.random.default_rng([seed, m,
-   k, t]) gives, from the stream below, straight into copy 0 and b_bytes,
-   takes each operand's width from its top nonzero word, and runs
+   fold_trials(seed, m, k, trials) runs a sweep point in one call. It
+   lays its buffer out once, for two m-bit operands, and trial t draws the
+   two m-bit values a fresh numpy.random.default_rng([seed, m, k, t])
+   gives, from the stream below, straight into copy 0 and b_bytes and runs
    fold_phases, the product's resolved limbs included; only the product
-   int is never built. It returns the accumulate, combine and Horner
-   counts summed over the trials, the sum of the squared totals and the
-   sum of the products mod 2**32 - 1, each kept in an unsigned __int128.
-   The counts depend on the multiplier alone; the residue, the sum of
-   the product's resolved limbs folded once, is what lets the lane-parity
+   int is never built. A narrower draw's zero top words change no count,
+   peak or residue. It returns the accumulate, combine and Horner counts
+   summed over the trials, the sum of the squared totals and the sum of
+   the products mod 2**32 - 1, each kept in an unsigned __int128. The
+   counts depend on the multiplier alone; the residue, the sum of the
+   product's resolved limbs folded once, is what lets the lane-parity
    tests see the multiplicand's half of a trial. Its trials overwrite the
    kept operands' regions, so each trial drops both cached operands
    first; a trial whose buffer passes 1 MiB takes the calloc-and-free
@@ -309,18 +312,16 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
 }
 
 /* The folds' buffer (see the header), kept between calls up to
-   KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the first
-   cached_copies of them the copies of cached_a, and b_bytes at
-   cached_b_off holds cached_b; a cache is NULL when its region holds
-   nothing reusable. No lock guards it: the folds never release the GIL
-   and run no Python code while the buffer is in use, so no other call
-   reaches it. */
+   KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the
+   copies of cached_a, and b_bytes after them holds cached_b; a cache is
+   NULL when its region holds nothing reusable. No lock guards it: the
+   folds never release the GIL and run no Python code while the buffer is
+   in use, so no other call reaches it. */
 #define COPY_SLOTS 32
 #define KEEP_BYTES ((size_t)1 << 20)
 static unsigned char *buf;
 static size_t buf_cap;
 static PyObject *cached_a, *cached_b;
-static size_t cached_copies, cached_b_off;
 
 /* Drop both cached operands and free the buffer */
 static void
@@ -386,14 +387,16 @@ check_shape(Py_ssize_t m, Py_ssize_t k)
    buf: the copies of A, b_bytes, then the working set */
 typedef struct {
     Py_ssize_t k;
-    size_t n, la, b_len, ncols, nparts, b_pad, cell_len, ncopies, prod_len;
-    size_t b_off, b_lanes, total;
+    size_t n, la, b_len, ncols, nparts, b_pad, cell_len, prod_len;
+    size_t b_lanes, total;
     lane *copies, *cells, *prod;
     unsigned char *b_bytes, *a_bytes, *prod_bytes, *filled;
 } fold;
 
 /* f's sizes for operands of a_bits and b_bits bits: 0, or -1 if its
-   buffer would pass SIZE_MAX */
+   buffer would pass SIZE_MAX. fold_multiply plans at its operands' widths
+   and fold_trials at m for both; there b_pad >= m / 8 + 2, which rounded
+   up to whole lanes holds all 4 * la bytes of b's drawn words */
 static int
 plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
 {
@@ -411,16 +414,11 @@ plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
     size_t last = f->nparts ? (f->nparts - 1) * n : 0;
     f->b_pad = (last + f->ncols) / 8 + 2;
     f->cell_len = f->la + (n + 31) / 32;
-    f->ncopies = n < COPY_SLOTS ? n : COPY_SLOTS;
     /* Horner adds cell_len + 1 limbs at limb (k - 1) * n / 32 at most */
     f->prod_len = (size_t)(k - 1) * n / 32 + f->cell_len + 1;
-    /* b's region also holds the whole 32-bit words of an m-bit value,
-       which fold_trials draws into it before it knows b's width */
-    size_t b_room = 4 * (((size_t)m + 31) / 32);
-    f->b_lanes = ((b_room > f->b_pad ? b_room : f->b_pad) + 7) / 8;
+    f->b_lanes = (f->b_pad + 7) / 8;
     /* copies, then b_bytes in whole lanes, then the working set */
-    f->b_off = COPY_SLOTS * (f->la + 1) * sizeof(lane);
-    f->total = f->b_off;
+    f->total = COPY_SLOTS * (f->la + 1) * sizeof(lane);
     return reserve(&f->total, f->b_lanes, sizeof(lane)) < 0
            || reserve(&f->total, (size_t)1 << k,
                       f->cell_len * sizeof(lane)) < 0
@@ -438,7 +436,7 @@ place_fold(fold *f, int zeroed)
 {
     size_t ncells = (size_t)1 << f->k;
     f->copies = (lane *)buf;
-    f->b_bytes = buf + f->b_off;
+    f->b_bytes = (unsigned char *)(f->copies + COPY_SLOTS * (f->la + 1));
     f->cells = (lane *)(f->b_bytes + f->b_lanes * sizeof(lane));
     f->prod = f->cells + ncells * f->cell_len;
     f->a_bytes = (unsigned char *)(f->prod + f->prod_len);
@@ -451,22 +449,20 @@ place_fold(fold *f, int zeroed)
     }
 }
 
-/* Copies built .. ncopies - 1 of A from copy 0, each shifted by its index,
-   in slots zeroed first unless zeroed says they are; returns the copies
-   now built */
-static size_t
-shift_copies(const fold *f, size_t built, int zeroed)
+/* Copies 1 .. COPY_SLOTS - 1 of A from copy 0, each shifted by its
+   index, in slots zeroed first unless zeroed says they are. Column i
+   reads copy i % 32, so copies n and above go unread where n < 32; there
+   each copy is at most 28 lanes */
+static void
+shift_copies(const fold *f, int zeroed)
 {
-    if (built >= f->ncopies)
-        return built;
     lane *copies = f->copies;
     size_t la = f->la;
     if (!zeroed)
-        memset(copies + built * (la + 1), 0,
-               (f->ncopies - built) * (la + 1) * sizeof(lane));
-    for (size_t s = built; s < f->ncopies; s++)
+        memset(copies + la + 1, 0,
+               (COPY_SLOTS - 1) * (la + 1) * sizeof(lane));
+    for (size_t s = 1; s < COPY_SLOTS; s++)
         add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
-    return f->ncopies;
 }
 
 /* The fold's three phases over the copies of A and b's b_len bytes, which
@@ -586,29 +582,26 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     place_fold(&f, zeroed);
 
     /* each cache is invalidated before its region is rebuilt and set only
-       once the rebuild is done; a rebuilt a of another width moves b_off */
-    size_t built = a == cached_a ? cached_copies : 0;
-    if (!built) {
+       once the rebuild is done; a rebuilt a may move b_bytes, so it drops
+       the kept b too */
+    if (a != cached_a) {
         Py_CLEAR(cached_a);
+        Py_CLEAR(cached_b);
         if (read_bytes(a, f.a_bytes, 4 * f.la) < 0)
             goto fail;
         for (size_t t = 0; t < f.la; t++)
             f.copies[t] = load_le32(f.a_bytes + 4 * t);
         f.copies[f.la] = 0;
-        built = 1;
+        shift_copies(&f, zeroed);
+        if (PyLong_CheckExact(a))
+            cached_a = Py_NewRef(a);
     }
-    built = shift_copies(&f, built, zeroed);
-    if (!cached_a && PyLong_CheckExact(a))
-        cached_a = Py_NewRef(a);
-    cached_copies = built;
-    if (b != cached_b || f.b_off != cached_b_off) {
+    if (b != cached_b) {
         Py_CLEAR(cached_b);
         if (read_bytes(b, f.b_bytes, f.b_len) < 0)
             goto fail;
-        if (PyLong_CheckExact(b)) {
+        if (PyLong_CheckExact(b))
             cached_b = Py_NewRef(b);
-            cached_b_off = f.b_off;
-        }
     }
 
     Py_ssize_t acc_adds, comb_adds, peak;
@@ -839,11 +832,10 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
     seed_seq seeded = {.hash = INIT_A};
     if (feed_entry(&seeded, args[0]) < 0)
         return NULL;
-    /* every trial fits the buffer of two full-width operands */
+    /* one layout for every trial, that of two m-bit operands */
     fold f;
     if (plan_fold(&f, m, k, (size_t)m, (size_t)m) < 0)
         return PyErr_NoMemory();
-    size_t full = f.total, words = ((size_t)m + 31) / 32;
     uint32_t top_mask = m % 32 ? (1u << m % 32) - 1 : LIMB_MASK;
     /* acc, comb, horner, total**2 and the residue: a total stays below
        2**33 and a residue below 2**32, so the sums fit 128 bits for any
@@ -857,39 +849,26 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
             return NULL;
         Py_CLEAR(cached_a);
         Py_CLEAR(cached_b);
-        int zeroed = reserve_buffer(full);
+        int zeroed = reserve_buffer(f.total);
         if (zeroed < 0)
             return PyErr_NoMemory();
+        place_fold(&f, zeroed);
         seed_seq s = seeded;
         feed_size(&s, (uint64_t)m);
         feed_size(&s, (uint64_t)k);
         feed_size(&s, (uint64_t)t);
         word_stream g;
         pcg_seed(s, &g);
-        /* A's words go into copy 0 and b's into b_bytes, each masked to
-           m bits; an operand's width is that of its top nonzero word. The
-           layout follows A's width, known only after its draw, so the
-           draw's zero words past A's top limb may land in later regions:
-           each of those is drawn over, zeroed before use, or never read */
-        lane *copy0 = (lane *)buf;
-        size_t a_bits = 0, b_bits = 0;
-        for (size_t w = 0; w < words; w++) {
-            copy0[w] = next_word(&g) & (w + 1 < words ? LIMB_MASK : top_mask);
-            if (copy0[w])
-                a_bits = 32 * w + 64 - (size_t)__builtin_clzll(copy0[w]);
-        }
-        plan_fold(&f, m, k, a_bits, 0);
-        for (size_t w = 0; w < words; w++) {
-            uint32_t x = next_word(&g)
-                         & (w + 1 < words ? LIMB_MASK : top_mask);
-            store_le32(buf + f.b_off + 4 * w, x);
-            if (x)
-                b_bits = 32 * w + 32 - (size_t)__builtin_clz(x);
-        }
-        plan_fold(&f, m, k, a_bits, b_bits);
-        place_fold(&f, zeroed);
+        /* A's la words go into copy 0 and b's into b_bytes, each masked to
+           m bits */
+        for (size_t w = 0; w < f.la; w++)
+            f.copies[w] = next_word(&g)
+                          & (w + 1 < f.la ? LIMB_MASK : top_mask);
         f.copies[f.la] = 0;
-        shift_copies(&f, 1, zeroed);
+        for (size_t w = 0; w < f.la; w++)
+            store_le32(f.b_bytes + 4 * w, next_word(&g)
+                       & (w + 1 < f.la ? LIMB_MASK : top_mask));
+        shift_copies(&f, zeroed);
         Py_ssize_t acc_adds, comb_adds, peak;
         fold_phases(&f, &acc_adds, &comb_adds, &peak);
         /* 2**32 is 1 mod 2**32 - 1, so the product's residue is that of

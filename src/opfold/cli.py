@@ -99,10 +99,25 @@ def _write_output(text, out_path):
         sys.stdout.write(text)
 
 
+def _operand(text, flag):
+    """BitNum.parse(text), refused by a message that names flag."""
+    try:
+        return BitNum.parse(text)
+    except ValueError as exc:
+        message = str(exc)
+        # int() refuses a long decimal string, with advice for a caller of
+        # Python, not of the command line
+        if "set_int_max_str_digits" in message:
+            message = (f"decimal operand has over "
+                       f"{sys.get_int_max_str_digits()} digits; give it in "
+                       f"0x or 0b form")
+        raise ValueError(f"{flag}: {message}") from None
+
+
 def _operands(args):
     """(A, B, m) of multiply and trace; m defaults to B's width."""
-    a = BitNum.parse(args.a)
-    b = BitNum.parse(args.b)
+    a = _operand(args.a, "--a")
+    b = _operand(args.b, "--b")
     m = args.m if args.m is not None else max(1, b.bit_length())
     return a, b, m
 
@@ -112,10 +127,10 @@ def _cmd_multiply(args):
     product, ledger = folding.multiply(a, b, m, args.k)
     n = (m + args.k - 1) // args.k
     out = [
-        f"A = {a.to_bin()} (dec {a.to_dec()})",
-        f"B = {b.to_bin()} (dec {b.to_dec()})",
+        f"A = {a.to_bin()} {folding.dec_text(a)}",
+        f"B = {b.to_bin()} {folding.dec_text(b)}",
         f"m = {m}, k = {args.k}, n = {n}",
-        f"product = {product.to_bin()} (dec {product.to_dec()})",
+        f"product = {product.to_bin()} {folding.dec_text(product)}",
         f"ledger: accumulate={ledger.accumulate_adds}"
         f" combine={ledger.combine_adds}"
         f" horner={ledger.horner_adds} total={ledger.total}",

@@ -302,6 +302,15 @@ def _pad_bits(x, width):
     return format(x.to_int(), f"0{width}b") if width > 0 else "0"
 
 
+def dec_text(x):
+    """"(dec …)" with BitNum x's decimal digits, or a note where int-to-str
+    conversion refuses that many (sys.get_int_max_str_digits)."""
+    try:
+        return f"(dec {x.to_dec()})"
+    except ValueError:
+        return "(dec omitted: over the int-to-str digit limit)"
+
+
 def format_trace(trace):
     """Human-readable rendering of a MultiplyTrace."""
     d = trace.decomposition
@@ -324,7 +333,7 @@ def format_trace(trace):
             label = format(v, f"0{k}b")
             lines.append(f"  C_({label}) = {bank.cell(v).to_bin()}")
     lines.append("product")
-    lines.append(f"  {trace.product.to_bin()} (dec {trace.product.to_dec()})")
+    lines.append(f"  {trace.product.to_bin()} {dec_text(trace.product)}")
     led = trace.ledger
     lines.append("ledger")
     lines.append(f"  accumulate_adds = {led.accumulate_adds}")

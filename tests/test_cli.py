@@ -69,6 +69,21 @@ def test_multiply_unparsable_operand_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["multiply", "trace"])
+def test_product_past_the_digit_limit_prints_in_binary(command, capsys):
+    # 16000 bits is well inside the bank budget, but the product's decimal
+    # passes int-to-str's digit limit, so only its binary is printed
+    a = (1 << 16000) - 1
+    rc, out, err = run(capsys, [command, "--a", hex(a), "--b", hex(a),
+                                "--k", "5"])
+    assert rc == 0 and err == ""
+    note = "(dec omitted: over the int-to-str digit limit)"
+    product = f"{bin(a * a)} {note}"
+    assert (f"product = {product}" if command == "multiply"
+            else f"  {product}") in out.splitlines()
+    assert out.count(note) == (3 if command == "multiply" else 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["multiply", "--a", "1", "--b", "1", "--m", "4096", "--k", "24"],
     ["trace", "--a", "1", "--b", "1", "--m", "4096", "--k", "24"],
@@ -398,6 +413,15 @@ def test_default_seed_is_zero(capsys):
     (["bench", "--m-range", "8", "--k-range", "2", "--trials",
       "99999999999999999999"],
      f"trials must be <= {sys.maxsize}, got 99999999999999999999"),
+    (["multiply", "--a", "0x", "--b", "3"],
+     "--a: invalid literal for int() with base 16: ''"),
+    (["multiply", "--a", "3", "--b", "1e5"],
+     "--b: invalid literal for int() with base 10: '1e5'"),
+    (["trace", "--a", "", "--b", "3"],
+     "--a: invalid literal for int() with base 10: ''"),
+    (["multiply", "--a", "9" * 5000, "--b", "3"],
+     f"--a: decimal operand has over {sys.get_int_max_str_digits()} "
+     "digits; give it in 0x or 0b form"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
         "missing-required", "missing-required-hdl", "bad-int",
@@ -406,7 +430,8 @@ def test_default_seed_is_zero(capsys):
         "bench-m-list-not-int", "optk-m-range-not-int", "bench-m-range-empty",
         "optk-m-range-empty", "bench-k-range-over-cap",
         "optk-m-range-over-cap", "bench-m-range-four-fields",
-        "bench-trials-past-ssize"])
+        "bench-trials-past-ssize", "operand-empty-hex", "operand-float",
+        "operand-empty", "operand-past-the-digit-limit"])
 def test_command_line_fault_exits_2_with_one_error_line(argv, message,
                                                         capsys):
     try:

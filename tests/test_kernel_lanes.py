@@ -215,13 +215,14 @@ def test_compiled_lane_refuses_non_ints(corec):
 
 # The compiled lane keeps the last multiplicand's shifted copies and the
 # last multiplier's bytes between calls, and reuses them when the same int
-# object comes back. Every call below is checked against the pure lane,
-# which keeps nothing.
+# object comes back; a rebuilt multiplicand drops the kept multiplier too.
+# Every call below is checked against the pure lane, which keeps nothing.
 
 def test_kept_operand_serves_every_shape(corec):
     # one a across every (m, k) with a fresh b, then one b with a fresh a
-    # of changing width; k falls and rises, so n, and the copies needed,
-    # grow past those already built
+    # of changing width, which moves b's region; k falls and rises, so n,
+    # and the copies its columns read, change while the kept a's 32 copies
+    # stay as built
     rng = random.Random(23)
     kept = rng.getrandbits(40) | 1 << 39
     for m in (40, 41, 64, 100, 257, 1000):
