@@ -39,26 +39,25 @@
    still returns its ~150 MB; between calls at most 1 MiB stays. Under
    AddressSanitizer the buffer past the call's working set is poisoned,
    so an overrun traps as one past an exact-size allocation would. The
-   buffer takes no lock: that is safe only because neither fold_multiply
-   nor fold_trials releases the GIL.
+   buffer takes no lock: that is safe only because fold_multiply never
+   releases the GIL.
 
    fold_trials(seed, m, k, trials) runs a sweep point in one call. It
-   lays its buffer out once, for two m-bit operands, and trial t draws the
-   two m-bit values a fresh numpy.random.default_rng([seed, m, k, t])
-   gives, from the stream below, straight into copy 0 and b_bytes and runs
-   fold_phases, the product's resolved limbs included; only the product
-   int is never built. A narrower draw's zero top words change no count,
+   lays out a buffer of its own once, for two m-bit operands, and zeroes
+   it before each trial; trial t draws the two m-bit values a fresh
+   numpy.random.default_rng([seed, m, k, t]) gives, from the stream
+   below, straight into copy 0 and b_bytes and runs fold_phases, the
+   product's resolved limbs included; only the product int is never
+   built. A narrower draw's zero top words change no count,
    peak or residue. It returns the accumulate, combine and Horner counts
    summed over the trials, the sum of the squared totals and the sum of
    the products mod 2**32 - 1, each kept in an unsigned __int128. The
    counts depend on the multiplier alone; the residue, the sum of the
    product's resolved limbs folded once, is what lets the lane-parity
-   tests see the multiplicand's half of a trial. Its trials overwrite the
-   kept operands' regions, so each trial drops both cached operands
-   first; a trial whose buffer passes 1 MiB takes the calloc-and-free
-   path. It calls PyErr_CheckSignals between trials, so Ctrl-C stops a
-   long point; since a signal handler may run fold_multiply, nothing in
-   the buffer outlives a trial.
+   tests see the multiplicand's half of a trial. It calls
+   PyErr_CheckSignals between trials, so Ctrl-C stops a long point, and
+   frees its buffer on every return; a signal handler that folds uses
+   buffers of its own, so the kept operands outlive the call.
 
    Accumulate reads the column patterns 8 columns at a time and keeps
    none of them past its step: it takes one byte of each part, 8 parts
@@ -311,12 +310,12 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* The folds' buffer (see the header), kept between calls up to
+/* fold_multiply's buffer (see the header), kept between calls up to
    KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the
    copies of cached_a, and b_bytes after them holds cached_b; a cache is
-   NULL when its region holds nothing reusable. No lock guards it: the
-   folds never release the GIL and run no Python code while the buffer is
-   in use, so no other call reaches it. */
+   NULL when its region holds nothing reusable. No lock guards it:
+   fold_multiply never releases the GIL and runs no Python code while the
+   buffer is in use, so no other call reaches it. */
 #define COPY_SLOTS 32
 #define KEEP_BYTES ((size_t)1 << 20)
 static unsigned char *buf;
@@ -384,7 +383,7 @@ check_shape(Py_ssize_t m, Py_ssize_t k)
 }
 
 /* One fold's sizes, and where plan_fold and place_fold put its regions in
-   buf: the copies of A, b_bytes, then the working set */
+   its buffer: the copies of A, b_bytes, then the working set */
 typedef struct {
     Py_ssize_t k;
     size_t n, la, b_len, ncols, nparts, b_pad, cell_len, prod_len;
@@ -427,15 +426,15 @@ plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
                       1) < 0 ? -1 : 0;
 }
 
-/* Point f's regions into buf, which holds f->total bytes, and zero cells
+/* Point f's regions into mem, which holds f->total bytes, and zero cells
    1 .. 2**k - 1, prod, which follows them, and filled, unless zeroed says
    the whole buffer is zero; cell 0 is never used, so it is never
    touched */
 static void
-place_fold(fold *f, int zeroed)
+place_fold(fold *f, unsigned char *mem, int zeroed)
 {
     size_t ncells = (size_t)1 << f->k;
-    f->copies = (lane *)buf;
+    f->copies = (lane *)mem;
     f->b_bytes = (unsigned char *)(f->copies + COPY_SLOTS * (f->la + 1));
     f->cells = (lane *)(f->b_bytes + f->b_lanes * sizeof(lane));
     f->prod = f->cells + ncells * f->cell_len;
@@ -579,7 +578,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     int zeroed = reserve_buffer(f.total);
     if (zeroed < 0)
         return PyErr_NoMemory();
-    place_fold(&f, zeroed);
+    place_fold(&f, buf, zeroed);
 
     /* each cache is invalidated before its region is rebuilt and set only
        once the rebuild is done; a rebuilt a may move b_bytes, so it drops
@@ -832,27 +831,25 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
     seed_seq seeded = {.hash = INIT_A};
     if (feed_entry(&seeded, args[0]) < 0)
         return NULL;
-    /* one layout for every trial, that of two m-bit operands */
+    /* one layout for every trial, that of two m-bit operands, in a buffer
+       of this call's own */
     fold f;
-    if (plan_fold(&f, m, k, (size_t)m, (size_t)m) < 0)
+    unsigned char *mem = NULL;
+    if (plan_fold(&f, m, k, (size_t)m, (size_t)m) < 0
+            || !(mem = PyMem_Malloc(f.total)))
         return PyErr_NoMemory();
+    place_fold(&f, mem, 1);
     uint32_t top_mask = m % 32 ? (1u << m % 32) - 1 : LIMB_MASK;
     /* acc, comb, horner, total**2 and the residue: a total stays below
        2**33 and a residue below 2**32, so the sums fit 128 bits for any
        trials below 2**62 */
     uint128 sums[5] = {0, 0, 0, 0, 0};
     for (Py_ssize_t t = 0; t < trials; t++) {
-        /* a signal handler may run any Python code, fold_multiply too, so
-           nothing in buf outlives a trial, and the kept operands, whose
-           regions the trial overwrites, are dropped before each one */
-        if (PyErr_CheckSignals() < 0)
+        if (PyErr_CheckSignals() < 0) {
+            PyMem_Free(mem);
             return NULL;
-        Py_CLEAR(cached_a);
-        Py_CLEAR(cached_b);
-        int zeroed = reserve_buffer(f.total);
-        if (zeroed < 0)
-            return PyErr_NoMemory();
-        place_fold(&f, zeroed);
+        }
+        memset(mem, 0, f.total);
         seed_seq s = seeded;
         feed_size(&s, (uint64_t)m);
         feed_size(&s, (uint64_t)k);
@@ -864,11 +861,10 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         for (size_t w = 0; w < f.la; w++)
             f.copies[w] = next_word(&g)
                           & (w + 1 < f.la ? LIMB_MASK : top_mask);
-        f.copies[f.la] = 0;
         for (size_t w = 0; w < f.la; w++)
             store_le32(f.b_bytes + 4 * w, next_word(&g)
                        & (w + 1 < f.la ? LIMB_MASK : top_mask));
-        shift_copies(&f, zeroed);
+        shift_copies(&f, 1);
         Py_ssize_t acc_adds, comb_adds, peak;
         fold_phases(&f, &acc_adds, &comb_adds, &peak);
         /* 2**32 is 1 mod 2**32 - 1, so the product's residue is that of
@@ -876,8 +872,6 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         uint64_t limb_sum = 0;
         for (size_t i = 0; i < f.prod_len; i++)
             limb_sum += f.prod[i];
-        if (buf_cap > KEEP_BYTES)
-            release_buffer();
         uint64_t total = (uint64_t)(acc_adds + comb_adds + k - 1);
         sums[0] += (uint64_t)acc_adds;
         sums[1] += (uint64_t)comb_adds;
@@ -885,6 +879,7 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
         sums[3] += (uint128)total * total;
         sums[4] += limb_sum % LIMB_MASK;
     }
+    PyMem_Free(mem);
     PyObject *result = PyTuple_New(5);
     for (int i = 0; result && i < 5; i++) {
         PyObject *x = long_from_uint128(sums[i]);

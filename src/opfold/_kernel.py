@@ -37,9 +37,9 @@ product mod 2**32 - 1. The pure lane loops over seeded_bits and
 fold_multiply. The compiled lane is one call: it runs numpy's
 SeedSequence and PCG64 in C, draws each pair straight into the fold's
 limbs, runs every phase fold_multiply runs, and builds no int per trial,
-not even the product. It drops the kept operands, since its trials
-overwrite their regions of the buffer. It never releases the GIL, and it
-checks for signals between trials, so Ctrl-C stops a long point.
+not even the product. It folds in a buffer of its own, so the operands
+fold_multiply keeps stay kept. It never releases the GIL, and it checks
+for signals between trials, so Ctrl-C stops a long point.
 
 bernoulli_bits(rng, b, delta) is the int whose bit i is set iff the
 i-th of the b doubles rng.random(b) draws is below float(delta), for a

@@ -30,9 +30,11 @@ from .bitnum import BitNum
 
 MODES = ("nodes-only", "full-recursive")
 
-# Largest block the samplers draw. On the pure kernel lane bernoulli_block
-# holds 9 bytes per bit (a float64 draw and a bool), so 2**24 bits is about
-# 150 MB; the compiled lane packs the draw as it goes and holds b/8 bytes.
+# Largest block every density function takes: the samplers draw it, and
+# the walks build masks from b alone, so a larger b would cost its memory
+# even for an empty block. On the pure kernel lane bernoulli_block holds 9
+# bytes per bit (a float64 draw and a bool), so 2**24 bits is about 150 MB;
+# the compiled lane packs the draw as it goes and holds b/8 bytes.
 MAX_BLOCK_BITS = 1 << 24
 
 
@@ -127,6 +129,7 @@ def simulate_split(parent, b):
     """
     if b < 2 or b % 2:
         raise ValueError(f"block length must be even and >= 2, got {b}")
+    _check_budget(b)
     if parent.bit_length() > b:
         raise ValueError(
             f"block has {parent.bit_length()} bits, exceeds b = {b}")
@@ -187,13 +190,15 @@ class TreeReport:
 
 
 def _check_walk(b, depth, mode):
-    """The walk's arguments: a known mode, b >= 1 and 2**depth dividing b."""
+    """The walk's arguments: a known mode, 1 <= b <= MAX_BLOCK_BITS and
+    2**depth dividing b."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if b < 1:
         raise ValueError(f"block length must be >= 1, got {b}")
+    _check_budget(b)
     # b & -b is b's lowest set bit: b % 2**depth without building 2**depth
     if (b & -b).bit_length() <= depth:
         raise ValueError(

@@ -430,6 +430,22 @@ def test_samplers_refuse_negative_blocks_before_drawing():
         assert rng.bit_generator.state == state
 
 
+def test_walks_refuse_blocks_over_budget():
+    # the walks size their masks from b alone, so an empty block of a huge
+    # b would allocate its 2**(b / 2)-bit mask; the series report the
+    # budget before a bad delta0
+    b = MAX_BLOCK_BITS + 2
+    message = (f"block length {b} exceeds the sampling budget of "
+               f"{MAX_BLOCK_BITS} bits")
+    for walk in (lambda: simulate_split(BitNum(0), b),
+                 lambda: simulate_tree(BitNum(0), b, 1),
+                 lambda: gain_series(b, 1, 1.5, 1, 0),
+                 lambda: density_series(b, 1, 1.5, 1, 0)):
+        with pytest.raises(ValueError) as info:
+            walk()
+        assert str(info.value) == message
+
+
 # --- tree walk and split against the per-block loop they replace -------------
 
 def _loop_halve(v, half):

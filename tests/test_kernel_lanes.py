@@ -10,8 +10,10 @@ import contextlib
 import datetime
 import random
 import signal
+import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -529,22 +531,23 @@ def test_fold_trials_sums_the_per_trial_folds(corec):
         _corepy.fold_trials(5, 64, 3, 0) == (0, 0, 0, 0, 0)
 
 
-def test_fold_trials_drops_the_kept_operands(corec):
-    # fold_trials draws over the regions of the kept multiplicand and
-    # multiplier, so the next fold_multiply of the same objects rebuilds
-    # them
+def test_fold_trials_leaves_the_kept_operands(corec):
+    # fold_trials folds in a buffer of its own, so the multiplicand and
+    # multiplier fold_multiply keeps, each held by a reference, stay kept
     a, b = (1 << 300) - 12345, (1 << 299) + 977
+    sums = _trial_sums(corec, 9, 300, 4, 3)
     first = corec.fold_multiply(a, b, 300, 4)
     assert first == _corepy.fold_multiply(a, b, 300, 4)
-    assert corec.fold_trials(9, 300, 4, 3) == _trial_sums(corec, 9, 300, 4, 3)
+    kept = sys.getrefcount(a), sys.getrefcount(b)
+    assert corec.fold_trials(9, 300, 4, 3) == sums
+    assert (sys.getrefcount(a), sys.getrefcount(b)) == kept
     assert corec.fold_multiply(a, b, 300, 4) == first
-    assert corec.fold_trials(9, 300, 4, 3) == _trial_sums(corec, 9, 300, 4, 3)
 
 
 def test_fold_trials_over_one_mib_then_small(corec):
-    # a 2**18-bit multiplicand's 32 copies take 2 MiB, so each trial takes
-    # the calloc-and-free path; at k = 1 a trial's only adds are the
-    # multiplier's set bits
+    # a 2**18-bit multiplicand's 32 copies take 2 MiB of fold_trials' own
+    # buffer, twice what fold_multiply keeps between calls; at k = 1 a
+    # trial's only adds are the multiplier's set bits
     m = 1 << 18
     pairs = [_corepy.seeded_bits((3, m, 1, t), m, 2) for t in range(2)]
     weights = [b.bit_count() for _, b in pairs]
@@ -588,9 +591,10 @@ def test_fold_trials_stops_on_a_signal(corec):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
 def test_fold_trials_survives_a_handler_that_folds(corec):
-    # a handler runs between trials and may keep operands of its own in the
-    # buffer; every trial still draws and folds its own pair, so the sums
-    # are those of a call no handler interrupts
+    # a handler runs between trials and keeps operands of its own in
+    # fold_multiply's buffer, which fold_trials does not share; every trial
+    # still draws and folds its own pair, so the sums are those of a call no
+    # handler interrupts
     a, b = (1 << 1000) - 7, (1 << 999) + 3
     seen = []
 
@@ -601,6 +605,28 @@ def test_fold_trials_survives_a_handler_that_folds(corec):
         got = corec.fold_trials(6, 1024, 5, 20000)
     assert seen and set(seen) == {_corepy.fold_multiply(a, b, 1000, 5)}
     assert got == corec.fold_trials(6, 1024, 5, 20000)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_fold_trials_frees_its_buffer_on_a_signal(corec):
+    # the buffer comes from PyMem_Malloc, so tracemalloc sees it; 20 calls
+    # stopped mid-point would hold ~2 MB if the signal path kept it
+    class Stop(Exception):
+        pass
+
+    def stop(signum, frame):
+        raise Stop
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            with _on_alarm(stop, 0.005), pytest.raises(Stop):
+                corec.fold_trials(1, 4096, 6, 10**9)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 << 10
 
 
 def _mean_stderr(totals):
