@@ -1,10 +1,12 @@
 """The instrumented fold kernel over non-negative host ints.
 
-fold_multiply reads the multiplier b's bits into the column patterns of
-the k x n part array with one numpy call, then adds `a << i` into the
-cell that column i's pattern names, once per nonzero column i, and
-combines the cells. numpy never sees the multiplicand and never forms a
-product or a cell: every counted addition is one int `+`, of a shifted
+fold_multiply composes the phases column_patterns, accumulate, combine
+and horner, which folding's public phases and trace_multiply call too.
+column_patterns reads the multiplier b's bits into the column patterns
+of the k x n part array with one numpy call; accumulate adds `a << i`
+into the cell that column i's pattern names, once per nonzero column i.
+numpy never sees the multiplicand and never forms a product or a cell:
+every counted addition is one int `+`, of a shifted
 multiplicand into a cell (accumulate) or of two cells (combine, Horner).
 The product never comes from native `*`, so tests that check it against
 `a * b` still compare two independent routes. Reading the multiplier
@@ -112,8 +114,49 @@ def naf_masks(b):
     return t & d, half & d
 
 
+def column_patterns(b, n, k):
+    """Column i's pattern for i < n, as a list: its bit j is bit j*n + i of
+    b, part j+1's bit at position i. Caller keeps b below 2**(k*n)."""
+    bits = np.unpackbits(
+        np.frombuffer(b.to_bytes((k * n + 7) // 8, "little"), np.uint8),
+        count=k * n, bitorder="little").reshape(k, n)
+    return ((1 << np.arange(k)) @ bits).tolist()
+
+
+def accumulate(a, patterns, k):
+    """Add `a << i` into the cell that column i's pattern names, once per
+    nonzero column i. Returns (cells, adds): the 2**k cells indexed by
+    pattern, cell 0 unused and 0, and the count of additions."""
+    cells = [0] * (1 << k)
+    for i, col in compress(enumerate(patterns), patterns):
+        cells[col] += a << i
+    return cells, len(patterns) - patterns.count(0)
+
+
+def combine(cells, k):
+    """Decremental combination of accumulate's cells, in place: after it,
+    cells[2**(j-1)] = a x part j. Returns the schedule's 2**(k+1) - 2k - 2
+    additions, every one of which it performs."""
+    for i in range(k, 0, -1):
+        base = 1 << (i - 1)
+        upper = cells[base + 1:2 * base]
+        # cells[base] += cells[base + j] and cells[j] += cells[base + j]
+        # for j = 1 .. base - 1, as whole-slice operations
+        cells[base] = sum(upper, cells[base])
+        cells[1:base] = map(operator.add, cells[1:base], upper)
+    return (1 << (k + 1)) - 2 * k - 2
+
+
+def horner(cells, n, k):
+    """The product from combined cells: k - 1 shifts by n, k - 1 adds."""
+    p = cells[1 << (k - 1)]
+    for i in range(k - 1, 0, -1):
+        p = (p << n) + cells[1 << (i - 1)]
+    return p
+
+
 def fold_multiply(a, b, m, k):
-    """Fused folded multiply: accumulate / combine / Horner in one pass.
+    """Folded multiply: column_patterns, accumulate, combine and horner.
 
     Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,
     peak_cell_bits). Caller validates 1 <= k and operand widths <= m.
@@ -122,37 +165,13 @@ def fold_multiply(a, b, m, k):
     """
     m, k = operator.index(m), operator.index(k)
     n = (m + k - 1) // k
-    # the k x n part array, row j = part j+1 and column 0 = bit 0, so column
-    # i's cell index has bit j set iff part j+1 has a 1 at position i
-    bits = np.unpackbits(
-        np.frombuffer(b.to_bytes((k * n + 7) // 8, "little"), np.uint8),
-        count=k * n, bitorder="little").reshape(k, n)
-    patterns = ((1 << np.arange(k)) @ bits).tolist()
-    cells = [0] * (1 << k)
-    for i, col in compress(enumerate(patterns), patterns):
-        cells[col] += a << i
-    acc_adds = n - patterns.count(0)
-    shifts = n
-    comb_adds = 0
-    for i in range(k, 0, -1):
-        base = 1 << (i - 1)
-        upper = cells[base + 1:2 * base]
-        # cells[base] += cells[base + j] and cells[j] += cells[base + j]
-        # for j = 1 .. base - 1, as whole-slice operations
-        cells[base] = sum(upper, cells[base])
-        cells[1:base] = map(operator.add, cells[1:base], upper)
-        comb_adds += 2 * (base - 1)
+    cells, acc_adds = accumulate(a, column_patterns(b, n, k), k)
+    comb_adds = combine(cells, k)
     # every cell is non-negative. _corec measures only the part cells, the
     # widest ones; this maximum over every cell is kept as the reference
     # the lane-parity tests check that against
     peak = max(cells).bit_length()
-    p = cells[1 << (k - 1)]
-    horner_adds = 0
-    for i in range(k - 1, 0, -1):
-        p = (p << n) + cells[1 << (i - 1)]
-        shifts += 1
-        horner_adds += 1
-    return p, acc_adds, comb_adds, horner_adds, shifts, peak
+    return horner(cells, n, k), acc_adds, comb_adds, k - 1, n + k - 1, peak
 
 
 def fold_trials(seed, m, k, trials):

@@ -53,7 +53,8 @@ in the same state.
 
 Both lanes run one schedule: accumulate adds A shifted to column i's
 offset into the cell that column's pattern names, once per nonzero
-column; combine and Horner follow. The n columns fill at most n of the
+column; combine and Horner follow, on the pure lane as the _corepy phase
+functions that folding's phases run. The n columns fill at most n of the
 2**k - 1 cells: the compiled lane skips every combine add whose source
 cell is still empty, while the pure lane performs every add. Both count
 the whole schedule, so the ledgers agree. After combine no cell is wider

@@ -7,18 +7,18 @@ into one of 2**k - 1 accumulator cells keyed by the column pattern
 cell 2**(j-1) into A x B_j for every part (combine), and a Horner pass of
 k - 1 shift-by-n adds reassembles the full product.
 
-`multiply` runs the fused kernel and reports a per-phase addition ledger;
-`accumulate` / `combine` / `horner_assemble` expose the same phases over
-BitNum values for inspection, and `trace_multiply` snapshots them.
-`accumulate` reads every column with per-bit probes of the parts on
-purpose, and is the only place that does: it is a second route to the same
-cells, independent of the fused kernel's bulk column read, so comparing
-the two checks both. `characteristic_vectors` is a third, word-level route
-to the column patterns, built from whole parts with AND and complement.
+`multiply` runs the chosen kernel lane and reports a per-phase addition
+ledger. `accumulate` / `combine` / `horner_assemble` expose the phases over
+BitNum values for inspection, and `trace_multiply` snapshots them; all
+four run the pure lane's own phase functions in _corepy, so the phases are
+written once in Python. `characteristic_vectors` is an independent,
+word-level route to the column patterns, built from whole parts with AND
+and complement, that the tests check accumulate's cells against.
 """
 
 from dataclasses import dataclass, field
 
+from . import _corepy
 from . import _kernel as _k
 from . import costmodel
 from .bitnum import BitNum
@@ -128,14 +128,6 @@ def _split(B, m, k):
     return Decomposition(m=m, k=k, n=n, parts=parts)
 
 
-def _column_pattern(parts, i):
-    col = 0
-    for j, p in enumerate(parts):
-        if p.bit(i):
-            col |= 1 << j
-    return col
-
-
 def characteristic_vectors(d, include_zero=False):
     """Indicator vectors of the column patterns, keyed by pattern.
 
@@ -152,51 +144,42 @@ def characteristic_vectors(d, include_zero=False):
     return {v: BitNum._wrap(rows[v]) for v in range(start, 1 << d.k)}
 
 
-def accumulate(A, d):
-    """Algorithm phase 2 over BitNum values.
+def _bank(k, cells):
+    return AccumulatorBank(k, tuple(map(BitNum._wrap, cells[1:])))
 
-    Walks columns i = 0 .. n-1 with a working copy of A shifted left once
-    per column; nonzero patterns receive one addition each. Returns the
-    filled bank and the addition count.
-    """
-    cells = [BitNum(0)] * (1 << d.k)  # indexed by pattern; cell 0 unused
-    ax = A
-    count = 0
-    for i in range(d.n):
-        col = _column_pattern(d.parts, i)
-        if col:
-            cells[col] = cells[col] + ax
-            count += 1
-        ax = ax << 1
-    return AccumulatorBank(d.k, tuple(cells[1:])), count
+
+def _cells(bank, k, caller):
+    if bank.k != k:
+        raise ValueError(
+            f"bank built for k = {bank.k}, {caller} called with {k}")
+    return [0, *map(BitNum.to_int, bank.cells)]
+
+
+def accumulate(A, d):
+    """Algorithm phase 2 over BitNum values, as _corepy.accumulate: returns
+    the filled bank and the addition count."""
+    patterns = _corepy.column_patterns(d.reassemble().to_int(), d.n, d.k)
+    cells, count = _corepy.accumulate(A.to_int(), patterns, d.k)
+    return _bank(d.k, cells), count
 
 
 def combine(bank, k):
     """Decremental combination: after this, cell(2**(j-1)) = A x B_j.
 
     Rounds run i = k .. 1; round i folds each upper cell 2**(i-1) + j into
-    both 2**(i-1) and j. The ledger counts the schedule's 2**(k+1) - 2k - 2
-    additions whatever the cells hold: this path and the pure kernel lane
-    perform every one, and the compiled lane skips those that add an
-    empty cell.
+    both 2**(i-1) and j. This is the pure kernel lane's _corepy.combine,
+    which performs all 2**(k+1) - 2k - 2 additions of the schedule; the
+    compiled lane skips those that add an empty cell.
     """
-    if bank.k != k:
-        raise ValueError(f"bank built for k = {bank.k}, combine called with {k}")
-    cells = [BitNum(0), *bank.cells]  # indexed by pattern; cell 0 unused
-    for i in range(k, 0, -1):
-        base = 1 << (i - 1)
-        for j in range(1, base):
-            cells[base] = cells[base] + cells[base + j]
-            cells[j] = cells[j] + cells[base + j]
-    return AccumulatorBank(k, tuple(cells[1:]))
+    cells = _cells(bank, k, "combine")
+    _corepy.combine(cells, k)
+    return _bank(k, cells)
 
 
 def horner_assemble(bank, n, k):
     """Fold the part products together: k-1 shifts by n, k-1 additions."""
-    p = bank.cell(1 << (k - 1))
-    for i in range(k - 1, 0, -1):
-        p = (p << n) + bank.cell(1 << (i - 1))
-    return p
+    return BitNum._wrap(
+        _corepy.horner(_cells(bank, k, "horner_assemble"), n, k))
 
 
 def bank_bits(m, k):
@@ -278,23 +261,19 @@ def trace_multiply(A, B, m, k):
     """Run the phased reference path, snapshotting every stage."""
     _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
     d = _split(B, m, k)
-    vectors = characteristic_vectors(d)
-    bank_acc, acc_count = accumulate(A, d)
-    bank_comb = combine(bank_acc, k)
-    product = horner_assemble(bank_comb, d.n, k)
-    peak = max(
-        (bank_comb.cell(v).bit_length() for v in range(1, 1 << k)),
-        default=0)
-    ledger = CostLedger(acc_count, costmodel.combine_cost(k), k - 1,
-                        d.n + k - 1, peak)
+    cells, acc_count = _corepy.accumulate(
+        A.to_int(), _corepy.column_patterns(B.to_int(), d.n, k), k)
+    bank_acc = _bank(k, cells)
+    comb_count = _corepy.combine(cells, k)
     return MultiplyTrace(
         a=A, b=B, m=m, k=k,
         decomposition=d,
-        vectors=vectors,
+        vectors=characteristic_vectors(d),
         bank_accumulated=bank_acc,
-        bank_combined=bank_comb,
-        product=product,
-        ledger=ledger,
+        bank_combined=_bank(k, cells),
+        product=BitNum._wrap(_corepy.horner(cells, d.n, k)),
+        ledger=CostLedger(acc_count, comb_count, k - 1, d.n + k - 1,
+                          max(cells).bit_length()),
     )
 
 

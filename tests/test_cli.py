@@ -538,6 +538,8 @@ STDOUT_SHA256 = {
         "2d37fc41ff1cb160afd36db85df102fec32e1ada7e2964a97747c31eb001a178",
     "trace --a 0b1 --b 0b101010100011 --m 12 --k 2":
         "85d6288d6be208d99203e602532ecef530e3c9007bd9b2987e65c8c29cf2c973",
+    "trace --a 0x2a5 --b 0x3b7 --m 10 --k 4":
+        "ae6217664fbee0544c1238b3cc94c895c5e479afacd7cdea8d5fe99cdbf6ee4a",
     "table":
         "34e85057b592fb806ba15c915e6b8903ec35c4aa95dcbcf2b21d8589ceac39a9",
     "optk --m-range 1:3000":

@@ -289,6 +289,15 @@ def test_combine_recovers_part_products(case):
         assert combined.cell(1 << (j - 1)).to_int() == a * d.part(j).to_int()
 
 
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_horner_k_mismatch(k):
+    d = split(BitNum(0b110101), 6, 3)
+    bank = combine(accumulate(BitNum(5), d)[0], 3)
+    assert horner_assemble(bank, d.n, 3).to_int() == 5 * 0b110101
+    with pytest.raises(ValueError, match="bank built for k = 3"):
+        horner_assemble(bank, d.n, k)
+
+
 def test_horner_k1_returns_cell_unchanged():
     bank = AccumulatorBank(k=1, cells=(BitNum(99),))
     assert horner_assemble(bank, 7, 1) == BitNum(99)
@@ -400,7 +409,8 @@ def test_fused_matches_phased_path(case):
 
 
 def test_fused_matches_phased_path_grid():
-    # every combine round of every k in 1..10, against the per-bit route
+    # every combine round of every k in 1..10, and accumulate's cells
+    # against characteristic_vectors, the word-level route to the patterns
     rng = random.Random(31)
     for m in range(1, 41):
         full = (1 << m) - 1
@@ -412,6 +422,12 @@ def test_fused_matches_phased_path_grid():
                 product, ledger = multiply(A, B, m, k)
                 trace = trace_multiply(A, B, m, k)
                 assert product.to_int() == a * b
+                d = split(B, m, k)
+                bank, count = accumulate(A, d)
+                vecs = characteristic_vectors(d)
+                assert count == sum(v.weight() for v in vecs.values())
+                for v, vec in vecs.items():
+                    assert bank.cell(v).to_int() == a * vec.to_int()
                 assert (product, ledger) == (trace.product, trace.ledger)
 
 
