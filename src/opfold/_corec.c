@@ -19,27 +19,29 @@
    lanes' upper halves; Horner resolves each part cell once and adds it
    into the product with add_shifted.
 
-   All of fold_multiply's memory is one module-level buffer that outlives
-   the call and grows with realloc. Its front holds the 32 shifted copies
-   of the last multiplicand, and the next region the last multiplier's
-   bytes, which each call pads with zeros as far as its accumulate reads;
-   the call's working set follows, and each call zeroes only that. A call
-   whose a is the very int object the copies were built from reuses them,
-   and one whose b is the very int object of the kept bytes reuses those:
+   fold_multiply folds in a static region of KEEP_BYTES, 1 MiB, that
+   outlives the call; it lives in .bss, so its pages enter RSS only once a
+   fold writes them. Its front holds the 32 shifted copies of the last
+   multiplicand, and the next region the last multiplier's bytes, which
+   each call pads with zeros as far as its accumulate reads; the call's
+   working set follows, and each call zeroes only that. A call whose a is
+   the very int object the copies were built from reuses them, and one
+   whose b is the very int object of the kept bytes reuses those:
    criterion 1's folds of one pair at k = 1..8 and its two baselines read
    and shift the multiplicand once. a's width places b's region, so a
    rebuilt multiplicand drops the kept multiplier too. Only exact ints are
    cached, each held by a strong reference: an int is immutable, so
    identity implies value, and dropping one runs no __del__ while the
-   buffer is in use. A cache is invalidated before its region is rebuilt
-   and set only once the rebuild is done. A call that needs more than
-   1 MiB drops both operands and the buffer, takes a zeroed one from
-   calloc, whose untouched pages stay out of RSS as a sparsely filled
-   bank's mostly do, and frees it at its end, so a 2**24-bit multiply
-   still returns its ~150 MB; between calls at most 1 MiB stays. Under
-   AddressSanitizer the buffer past the call's working set is poisoned,
+   region is in use. A cache is invalidated before its region is rebuilt
+   and set only once the rebuild is done. A fold that needs more than
+   1 MiB drops both operands and runs in a zeroed buffer of its own from
+   PyMem_Calloc, which tracemalloc sees, as it sees fold_trials' buffer.
+   Its untouched pages stay out of RSS, as a sparsely filled bank's mostly
+   do, and it is freed on every return, so a 2**24-bit multiply still
+   returns its ~150 MB; between calls only the 1 MiB region stays. Under
+   AddressSanitizer the region past the call's working set is poisoned,
    so an overrun traps as one past an exact-size allocation would. The
-   buffer takes no lock: that is safe only because fold_multiply never
+   region takes no lock: that is safe only because fold_multiply never
    releases the GIL.
 
    fold_trials(seed, m, k, trials) runs a sweep point in one call. It
@@ -310,58 +312,22 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* fold_multiply's buffer (see the header), kept between calls up to
-   KEEP_BYTES. Its front holds COPY_SLOTS slots of la + 1 lanes, the
-   copies of cached_a, and b_bytes after them holds cached_b; a cache is
-   NULL when its region holds nothing reusable. No lock guards it:
+/* fold_multiply's kept region (see the header), where every fold of at
+   most KEEP_BYTES runs. Its front holds COPY_SLOTS slots of la + 1 lanes,
+   the copies of cached_a, and b_bytes after them holds cached_b; a cache
+   is NULL when its region holds nothing reusable. No lock guards it:
    fold_multiply never releases the GIL and runs no Python code while the
-   buffer is in use, so no other call reaches it. */
+   region is in use, so no other call reaches it. */
 #define COPY_SLOTS 32
 #define KEEP_BYTES ((size_t)1 << 20)
-static unsigned char *buf;
-static size_t buf_cap;
+static lane kept[KEEP_BYTES / sizeof(lane)];
 static PyObject *cached_a, *cached_b;
 
-/* Drop both cached operands and free the buffer */
 static void
-release_buffer(void)
+drop_kept(void)
 {
     Py_CLEAR(cached_a);
     Py_CLEAR(cached_b);
-    ASAN_UNPOISON_MEMORY_REGION(buf, buf_cap);
-    free(buf);
-    buf = NULL;
-    buf_cap = 0;
-}
-
-/* buf with room for total bytes: 0 with the bytes it held kept, 1 with
-   every byte zero, or -1 with the buffer as it was. A buffer over
-   KEEP_BYTES is freed at the end of its call anyway, so it comes fresh
-   from calloc: the system's zero pages stay out of RSS until written, as
-   most of a large, sparsely filled bank is never written */
-static int
-reserve_buffer(size_t total)
-{
-    if (total > KEEP_BYTES) {
-        release_buffer();
-        if (!(buf = calloc(total, 1)))
-            return -1;
-        buf_cap = total;
-        return 1;
-    }
-    if (total > buf_cap) {
-        ASAN_UNPOISON_MEMORY_REGION(buf, buf_cap);
-        unsigned char *p = realloc(buf, total);
-        if (!p)
-            return -1;
-        buf = p;
-        buf_cap = total;
-    }
-    /* under AddressSanitizer, past the call's working set is poisoned, so
-       an overrun traps as one past an exact-size allocation would */
-    ASAN_UNPOISON_MEMORY_REGION(buf, total);
-    ASAN_POISON_MEMORY_REGION(buf + total, buf_cap - total);
-    return 0;
 }
 
 /* 0, or -1 with ValueError set unless 1 <= k <= K_CEILING and
@@ -575,31 +541,43 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     fold f;
     if (plan_fold(&f, m, k, (size_t)a_bits, (size_t)b_bits) < 0)
         return PyErr_NoMemory();
-    int zeroed = reserve_buffer(f.total);
-    if (zeroed < 0)
-        return PyErr_NoMemory();
-    place_fold(&f, buf, zeroed);
+    /* a fold over KEEP_BYTES runs in a zeroed buffer of its own, so the
+       kept operands, whose copies it cannot reuse, are dropped */
+    int own = f.total > KEEP_BYTES;
+    unsigned char *mem = (unsigned char *)kept;
+    if (own) {
+        drop_kept();
+        if (!(mem = PyMem_Calloc(f.total, 1)))
+            return PyErr_NoMemory();
+    }
+    else {
+        /* under AddressSanitizer, past the call's working set is poisoned,
+           so an overrun traps as one past an exact-size allocation would */
+        ASAN_UNPOISON_MEMORY_REGION(mem, f.total);
+        ASAN_POISON_MEMORY_REGION(mem + f.total, KEEP_BYTES - f.total);
+    }
+    place_fold(&f, mem, own);
 
     /* each cache is invalidated before its region is rebuilt and set only
-       once the rebuild is done; a rebuilt a may move b_bytes, so it drops
-       the kept b too */
+       once the rebuild is done, and only in the kept region; a rebuilt a
+       may move b_bytes, so it drops the kept b too */
+    PyObject *product = NULL;
     if (a != cached_a) {
-        Py_CLEAR(cached_a);
-        Py_CLEAR(cached_b);
+        drop_kept();
         if (read_bytes(a, f.a_bytes, 4 * f.la) < 0)
-            goto fail;
+            goto done;
         for (size_t t = 0; t < f.la; t++)
             f.copies[t] = load_le32(f.a_bytes + 4 * t);
         f.copies[f.la] = 0;
-        shift_copies(&f, zeroed);
-        if (PyLong_CheckExact(a))
+        shift_copies(&f, own);
+        if (!own && PyLong_CheckExact(a))
             cached_a = Py_NewRef(a);
     }
     if (b != cached_b) {
         Py_CLEAR(cached_b);
         if (read_bytes(b, f.b_bytes, f.b_len) < 0)
-            goto fail;
-        if (PyLong_CheckExact(b))
+            goto done;
+        if (!own && PyLong_CheckExact(b))
             cached_b = Py_NewRef(b);
     }
 
@@ -607,12 +585,12 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     fold_phases(&f, &acc_adds, &comb_adds, &peak);
     for (size_t t = 0; t < f.prod_len; t++)
         store_le32(f.prod_bytes + 4 * t, (uint32_t)f.prod[t]);
-    /* the buffer is done with before anything that may run Python code:
-       a large one goes back to the system, with the operands it caches */
-    PyObject *product = _PyLong_FromByteArray(f.prod_bytes, 4 * f.prod_len,
-                                              1, 0);
-    if (buf_cap > KEEP_BYTES)
-        release_buffer();
+    product = _PyLong_FromByteArray(f.prod_bytes, 4 * f.prod_len, 1, 0);
+done:
+    /* the memory is done with before anything that may run Python code:
+       an own buffer goes back to the system on every return */
+    if (own)
+        PyMem_Free(mem);
     /* (product, *counts); a failed tuple frees the slots it filled */
     PyObject *result = product ? PyTuple_New(6) : NULL;
     if (!result) {
@@ -631,10 +609,6 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         PyTuple_SET_ITEM(result, i + 1, x);
     }
     return result;
-fail:
-    /* the working set may have overwritten a cached region */
-    release_buffer();
-    return NULL;
 }
 
 /* numpy's SeedSequence: pool size and hash constants */

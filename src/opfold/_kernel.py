@@ -17,13 +17,13 @@ calling fold_multiply for each directly, and subtracts the second
 product from the first; its count is the NAF weight, and the one
 subtraction that joins them is not counted.
 
-The compiled lane keeps its working buffer between fold_multiply calls,
-with the last multiplicand's shifted copies and the last multiplier's
-bytes, and reuses them when the very same exact int comes back: the
-folds of one pair at k = 1..8 and both baselines on it read and shift
-the multiplicand once. A call that needs more than 1 MiB takes a buffer
-of its own and frees it at its end. The pure lane keeps nothing between
-calls.
+The compiled lane folds in one static 1 MiB region that it keeps between
+fold_multiply calls, with the last multiplicand's shifted copies and the
+last multiplier's bytes, and reuses them when the very same exact int
+comes back: the folds of one pair at k = 1..8 and both baselines on it
+read and shift the multiplicand once. A call that needs more than 1 MiB
+drops both kept operands, folds in a zeroed buffer of its own and frees
+it before it returns. The pure lane keeps nothing between calls.
 
 seeded_bits(entropy, m, count) is
 draw_bits(np.random.default_rng(entropy), m, count).

@@ -39,10 +39,11 @@ from .bitnum import BitNum
 # k = 1 when B's top bit is set, since the compiled lane reads B's columns
 # 8 at a time and keeps no per-column array; pure lane 272 MB and 31 MB,
 # the first mostly its per-column pattern array and list. Between calls
-# the compiled lane keeps at most 1 MiB of working buffer, holding the
-# last two operands' kernel forms, and references to those two ints, at
-# most about 1 MiB more; a call that needs more takes a buffer of its own
-# and frees it, so the 2**24-bit multiply leaves no buffer behind.
+# the compiled lane keeps one static 1 MiB region, in RSS only as far as
+# folds have written it, holding the last two operands' kernel forms, and
+# references to those two ints, at most about 1 MiB more; a call that
+# needs more folds in a buffer of its own and frees it, so the 2**24-bit
+# multiply leaves no buffer behind.
 BANK_BUDGET_BITS = 1 << 27
 CELL_OVERHEAD_BITS = 512
 K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
@@ -56,6 +57,21 @@ class Decomposition:
     k: int
     n: int
     parts: tuple
+
+    def __post_init__(self):
+        # split builds only these; accumulate reads the parts as one
+        # multiplier, so a part past n bits would lend its top bits to the
+        # next part
+        k, n = self.k, self.n
+        if len(self.parts) != k:
+            raise ValueError(f"{len(self.parts)} parts for k = {k}")
+        if k < 1 or n != -(-self.m // k):
+            raise ValueError(f"n = {n} is not ceil(m/k) for m = {self.m}, "
+                             f"k = {k}")
+        for j, part in enumerate(self.parts, 1):
+            if part.bit_length() > n:
+                raise ValueError(f"part {j} has {part.bit_length()} bits, "
+                                 f"exceeds n = {n}")
 
     def part(self, j):
         """1-based part accessor: part(1) = B_1 ... part(k) = B_k."""

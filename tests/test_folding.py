@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import warnings
 
 import numpy as np
@@ -70,6 +71,17 @@ def test_split_rejects():
         split(TOY, 0, 2)
     with pytest.raises(ValueError):
         split(TOY, 11, 2)  # 12-bit operand
+
+
+@pytest.mark.parametrize("m, k, n, parts, message", [
+    (4, 2, 2, (BitNum(0b111), BitNum(0)), "part 1 has 3 bits, exceeds n = 2"),
+    (4, 2, 2, (BitNum(1),), "1 parts for k = 2"),
+    (4, 2, 3, (BitNum(1), BitNum(0)), "n = 3 is not ceil(m/k)"),
+], ids=["wide-part", "short-tuple", "wrong-n"])
+def test_decomposition_refuses_a_bad_part_array(m, k, n, parts, message):
+    # a part past n bits was read as the next part's bits by accumulate
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Decomposition(m=m, k=k, n=n, parts=parts)
 
 
 @pytest.mark.parametrize("call, message", [

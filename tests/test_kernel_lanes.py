@@ -288,6 +288,47 @@ def test_call_over_one_mib_then_small(corec):
     _check(corec, small_a, small_b, 100, 3)
 
 
+def test_fold_past_the_kept_region_takes_a_traced_buffer(corec):
+    # at k = 1 with full-width operands a fold needs 1,048,274 bytes at
+    # m = 104,800, inside the kept 1 MiB region, and 1,048,590 at
+    # m = 104,801, which it takes from PyMem_Calloc, so tracemalloc sees
+    # it, and frees before it returns. The small pair, the same objects
+    # each time, is kept between the big folds
+    small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
+    small = _corepy.fold_multiply(small_a, small_b, 100, 3)
+    cases = [(m, (1 << m) - 1, 1 | 1 << (m - 1)) for m in (104_800, 104_801)]
+    expected = [_corepy.fold_multiply(a, b, m, 1) for m, a, b in cases]
+    results, rises = [], []
+    tracemalloc.start()
+    try:
+        for m, a, b in cases:
+            results.append(corec.fold_multiply(small_a, small_b, 100, 3))
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results.append(corec.fold_multiply(a, b, m, 1))
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append((peak - before, current - before))
+            results.append(corec.fold_multiply(small_a, small_b, 100, 3))
+    finally:
+        tracemalloc.stop()
+    assert results == [small, expected[0], small, small, expected[1], small]
+    (kept_peak, _), (own_peak, own_left) = rises
+    assert kept_peak < 256 << 10
+    assert own_peak >= 1 << 20
+    assert own_left < 64 << 10
+
+
+def test_fold_in_its_own_buffer_keeps_neither_operand(corec):
+    # a fold over 1 MiB leaves the kept region, and the kept pair's copies
+    # in it, as they were, so its own operands must not pass for kept
+    kept_a, kept_b = (1 << 100) - 3, (1 << 99) + 5
+    other_a, other_b = (1 << 100) - 77, (1 << 98) + 9
+    _check(corec, kept_a, kept_b, 100, 3)
+    _check(corec, other_a, other_b, 100, 15)
+    _check(corec, other_a, other_b, 100, 3)
+    _check(corec, kept_a, kept_b, 100, 3)
+
+
 def test_int_subclass_operand_is_not_kept(corec):
     # a kept operand is released inside a later call; an int subclass's
     # __del__ could then run the kernel on the buffer in use, so only exact
