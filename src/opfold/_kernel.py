@@ -25,6 +25,16 @@ read and shift the multiplicand once. A call that needs more than 1 MiB
 drops both kept operands, folds in a zeroed buffer of its own and frees
 it before it returns. The pure lane keeps nothing between calls.
 
+The compiled lane's fold loops come in a baseline copy and, on x86-64
+gcc and clang builds, wide copies for AVX-512F and AVX2, whose adds run
+8 or 4 lanes to a vector. The module picks the wide copy once, at
+import, from what the CPU supports, and exports the choice as
+_corec.SIMD: "avx512f", "avx2" or "baseline", which KERNEL_REASON
+names. A fold whose shifted multiplicand holds at least
+_corec.WIDE_LANES = 16 lanes (a multiplicand over 448 bits) runs the
+wide copy; a narrower one, every fold of criterion 1's m <= 256, runs
+the baseline copy. Every copy returns the same tuples.
+
 seeded_bits(entropy, m, count) is
 draw_bits(np.random.default_rng(entropy), m, count).
 
@@ -72,14 +82,14 @@ from . import _corepy
 from ._corepy import _bit_flags, _from_bits, draw_bits, naf_masks, seeded_bits
 
 try:
-    from ._corec import bernoulli_bits, fold_multiply, fold_trials
+    from ._corec import SIMD, bernoulli_bits, fold_multiply, fold_trials
 except ImportError as exc:
     from ._corepy import bernoulli_bits, fold_multiply, fold_trials
     KERNEL_NAME = _corepy.KERNEL_NAME
     KERNEL_REASON = f"compiled lane not importable: {exc}"
 else:
     KERNEL_NAME = "compiled"
-    KERNEL_REASON = "opfold._corec is built"
+    KERNEL_REASON = f"opfold._corec is built, {SIMD} loops"
 
 __all__ = ["KERNEL_NAME", "KERNEL_REASON", "bernoulli_bits",
            "classical_multiply", "csd_multiply", "draw_bits",

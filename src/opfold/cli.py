@@ -8,8 +8,6 @@ the word after an option is always its value. Exit codes: 0 success,
 commands take --seed (default 0).
 """
 
-import csv
-import io
 import sys
 from types import SimpleNamespace
 
@@ -74,14 +72,13 @@ def _format_cell(value):
 
 
 def _render_rows(columns, rows, fmt, schema):
+    # no cell any command emits holds a comma, quote or line break, so a
+    # CSV row is its cells joined, the bytes csv.writer would write
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# schema: {schema}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_format_cell(r[c]) for c in columns])
-        return buf.getvalue()
+        lines = [f"# schema: {schema}", ",".join(columns)]
+        lines += [",".join([_format_cell(r[c]) for c in columns])
+                  for r in rows]
+        return "\n".join(lines) + "\n"
     cells = [[_format_cell(r[c]) for c in columns] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
               for i, c in enumerate(columns)]

@@ -47,11 +47,17 @@ def phase_constant(k):
     return combine_cost(k) + k - 1
 
 
+def _f_avg_terms(m, k):
+    """f_avg(m, k) as (numerator, denominator) ints, for a checked (m, k):
+    sweep divides them for its float, which int / int rounds correctly,
+    so it is float(f_avg(m, k)) with no Fraction built."""
+    return ((1 << k) - 1) * -(-m // k) + (phase_constant(k) << k), 1 << k
+
+
 def f_avg(m, k):
     """Expected additions for uniform random operands, exact rational."""
     _check(m, k)
-    return Fraction(((1 << k) - 1) * -(-m // k) + (phase_constant(k) << k),
-                    1 << k)
+    return Fraction(*_f_avg_terms(m, k))
 
 
 def f_wst(m, k):
@@ -204,11 +210,12 @@ def sweep(m_values, k_values, trials, seed):
     for m in m_values:
         for k in k_values:
             mean, stderr = measure_mean(m, k, trials, seed)
+            numerator, denominator = _f_avg_terms(m, k)
             rows.append({
                 "m": m,
                 "k": k,
                 "n": -(-m // k),
-                "f_avg": float(f_avg(m, k)),
+                "f_avg": numerator / denominator,
                 "f_wst": f_wst(m, k),
                 "measured_mean": mean,
                 "stderr": stderr,

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, formats, exit codes, seeding."""
 
+import csv
 import hashlib
+import io
 import shlex
 import sys
 import tracemalloc
@@ -117,6 +119,38 @@ def test_bench_csv_schema_and_shape(capsys):
     assert len(lines) == 2 + 4  # (16, 32) x (1, 2)
     rc2, out2, _ = run(capsys, argv)
     assert rc2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("command", [
+    "bench --m-range 8:300:7 --k-range 1:8 --trials 3 --seed 4",
+    "optk --m-range 1:3000",
+    "table --format csv",
+    "density --series gain --b 1024 --depth 4 --trials 5",
+    "density --series density --b 1024 --depth 4 --trials 5",
+])
+def test_csv_rows_are_the_bytes_csv_writer_writes(command, monkeypatch,
+                                                  capsys):
+    # _render_rows joins each row's cells with commas and quotes none; a
+    # column whose cells need quoting would fail here
+    calls = []
+    render = cli._render_rows
+
+    def recording(*call):
+        calls.append(call)
+        return render(*call)
+
+    monkeypatch.setattr(cli, "_render_rows", recording)
+    rc, out, _ = run(capsys, shlex.split(command))
+    assert rc == 0 and len(calls) == 1
+    columns, rows, fmt, schema = calls[0]
+    assert fmt == "csv" and rows
+    buf = io.StringIO()
+    buf.write(f"# schema: {schema}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in rows:
+        writer.writerow([cli._format_cell(r[c]) for c in columns])
+    assert out == buf.getvalue()
 
 
 def test_bench_pretty_table(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opfold import costmodel
 from opfold.bitnum import BitNum
 from opfold.folding import BANK_BUDGET_BITS, K_CEILING, multiply
 from opfold.costmodel import (
@@ -265,3 +266,13 @@ def test_sweep_rows_and_columns():
         assert r["n"] == -(-r["m"] // r["k"])
     again = sweep([16, 32], [1, 2], trials=10, seed=4)
     assert rows == again
+
+
+def test_sweep_f_avg_is_f_avg_rounded_once(monkeypatch):
+    # sweep divides f_avg's numerator by its denominator with no Fraction
+    # built; int / int rounds correctly, so the float is float(f_avg)
+    monkeypatch.setattr(costmodel, "measure_mean",
+                        lambda m, k, trials, seed: (0.0, 0.0))
+    for m in (*range(1, 301), 2**20 + 1):
+        for row in sweep([m], range(1, 13), 1, 0):
+            assert row["f_avg"] == float(f_avg(m, row["k"])), (m, row["k"])

@@ -70,6 +70,36 @@ def test_lanes_agree_on_mostly_empty_banks(corec):
                     _check(corec, a, b, m, k)
 
 
+def test_lanes_agree_across_the_wide_threshold(corec):
+    # a fold whose copies of A, la + 1 lanes each, hold WIDE_LANES lanes
+    # or more runs the wide copy of the loops, a narrower one the baseline
+    # copy. m = 32 * la is the widest m of la limbs and 32 * la - 31 the
+    # narrowest; every operand has bit m - 1 set, so A has la limbs
+    assert corec.SIMD in ("avx512f", "avx2", "baseline")
+    rng = random.Random(449)
+    for lanes in (corec.WIDE_LANES - 1, corec.WIDE_LANES,
+                  corec.WIDE_LANES + 1):
+        for m in (32 * (lanes - 1) - 31, 32 * (lanes - 1)):
+            top = 1 << (m - 1)
+            ones = (1 << m) - 1
+            for k in range(1, 11):
+                n = -(-m // k)
+                # one set bit at the bottom and at the top of each part
+                sparse = sum({1 << bit for j in range(k) if j * n < m
+                              for bit in (j * n, min(j * n + n, m) - 1)})
+                for a, b in ((ones, ones), (sparse, sparse), (ones, sparse),
+                             (top | rng.getrandbits(m), rng.getrandbits(m))):
+                    _check(corec, a, b, m, k)
+                assert corec.fold_trials(m, m, k, 2) == \
+                    _corepy.fold_trials(m, m, k, 2), (m, k)
+
+
+def test_kernel_reason_names_the_wide_loops():
+    if _kernel.KERNEL_NAME == "compiled":
+        from opfold import _corec
+        assert _kernel.KERNEL_REASON.endswith(f", {_corec.SIMD} loops")
+
+
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1024, 4096])
 def test_column_read_matches_pure_lane(corec, m):
     # k = 9..16 puts the parts in two groups of 8; a narrow b leaves the
