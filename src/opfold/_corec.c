@@ -3,9 +3,9 @@
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
    runs the same schedule, so products and ledgers are identical. It loads
-   its operands, through the cache below, and fold_phases runs
-   accumulate, combine and Horner for it and for fold_trials; the phases
-   are written nowhere else.
+   its operands, through the cache below, and fold_body builds the copies
+   of A and runs accumulate, combine and Horner for it and for
+   fold_trials; the phases are written nowhere else.
 
    Numbers are arrays of 32-bit limbs, lowest first, each held in a 64-bit
    lane. add_shifted adds x << s, 0 <= s < 32, to a run of lanes, reading
@@ -19,23 +19,24 @@
    lanes' upper halves; Horner resolves each part cell once and adds it
    into the product with add_shifted.
 
-   Those loops, shift_copies and fold_phases, are written once, as
-   always-inline bodies, and compiled more than once: a baseline copy for
-   the build's instruction set, and on x86-64 gcc and clang two wide
-   copies, one for AVX-512F and one for AVX2, whose lane adds run 8 or 4
-   lanes to a vector where the baseline runs 2. Module init picks the wide
-   copy once, from __builtin_cpu_supports, and exports its name as SIMD
-   ("avx512f", "avx2", or "baseline" where the CPU has neither or the
-   build has no wide copies). A fold whose copies of A hold at least
-   WIDE_LANES = 16 lanes (A over 448 bits) runs the wide copy. That is
-   the measured crossover: on a 2-CPU AVX-512 x86-64 host (gcc 12,
-   fold_trials and fold_multiply at k = 1, 3, 5 and 8, both copies loaded
-   in one process) the AVX-512F copy took 1.0-1.2x the baseline's time at
-   3-7 lanes, 0.8-1.04x at 9-15 and 0.69-0.87x from 16 lanes up, and the
-   AVX2 copy 0.84-1.03x at 9-15 and 0.76-0.87x from 16 up. So every
-   oracle-sized fold, m <= 256, runs the baseline copy, through the same
-   direct calls as a build with no wide copies. Every copy runs the same
-   adds in the same order, so its tuples are the baseline's.
+   Those loops are written once, in the always-inline fold_body, and
+   compiled into one fold routine per instruction set: fold_baseline for
+   the build's, and on x86-64 gcc and clang fold_avx512f and fold_avx2,
+   whose lane adds run 8 or 4 lanes to a vector where the baseline runs 2.
+   Module init picks the wide routine once, from __builtin_cpu_supports,
+   and exports its name as SIMD ("avx512f", "avx2", or "baseline" where
+   the CPU has neither or the build has no wide routines). A fold whose
+   copies of A hold at least WIDE_LANES = 16 lanes (A over 448 bits) runs
+   the wide routine. That is the measured crossover: on a 2-CPU AVX-512
+   x86-64 host (gcc 12, fold_trials and fold_multiply at k = 1, 3, 5 and
+   8, both routines loaded in one process) the AVX-512F routine took
+   1.0-1.2x the baseline's time at 3-7 lanes, 0.8-1.04x at 9-15 and
+   0.69-0.87x from 16 lanes up, and the AVX2 routine 0.84-1.03x at 9-15
+   and 0.76-0.87x from 16 up. So every oracle-sized fold, m <= 256, runs
+   fold_baseline, through the same direct call as a build with no wide
+   routines. Every routine runs the same adds in the same order, so its
+   tuples are the baseline's. Each fold zeroes what it writes, unless its
+   buffer came zeroed from PyMem_Calloc.
 
    fold_multiply folds in a static region of KEEP_BYTES, 1 MiB, that
    outlives the call; it lives in .bss, so its pages enter RSS only once a
@@ -64,9 +65,9 @@
 
    fold_trials(seed, m, k, trials) runs a sweep point in one call. It
    lays out a buffer of its own once, for two m-bit operands, and zeroes
-   it before each trial; trial t draws the two m-bit values a fresh
-   numpy.random.default_rng([seed, m, k, t]) gives, from the stream
-   below, straight into copy 0 and b_bytes and runs fold_phases, the
+   what each trial's fold writes; trial t draws the two m-bit values a
+   fresh numpy.random.default_rng([seed, m, k, t]) gives, from the stream
+   below, straight into copy 0 and b_bytes and runs fold_body, the
    product's resolved limbs included; only the product int is never
    built. A narrower draw's zero top words change no count,
    peak or residue. It returns the accumulate, combine and Horner counts
@@ -165,8 +166,8 @@
 
 typedef uint64_t lane;
 
-/* Inlined wherever it is called, even into a wide copy of the loops
-   below, so its loops are compiled for the copy's instruction set */
+/* Inlined wherever it is called, even into a wide fold routine below, so
+   its loops are compiled for the routine's instruction set */
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 #define LIMB_MASK 0xFFFFFFFFu
@@ -414,59 +415,54 @@ plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
                       1) < 0 ? -1 : 0;
 }
 
-/* Point f's regions into mem, which holds f->total bytes, and zero cells
-   1 .. 2**k - 1, prod, which follows them, and filled, unless zeroed says
-   the whole buffer is zero; cell 0 is never used, so it is never
-   touched */
+/* Point f's regions into mem, which holds f->total bytes */
 static void
-place_fold(fold *f, unsigned char *mem, int zeroed)
+place_fold(fold *f, unsigned char *mem)
 {
-    size_t ncells = (size_t)1 << f->k;
     f->copies = (lane *)mem;
     f->b_bytes = (unsigned char *)(f->copies + COPY_SLOTS * (f->la + 1));
     f->cells = (lane *)(f->b_bytes + f->b_lanes * sizeof(lane));
-    f->prod = f->cells + ncells * f->cell_len;
+    f->prod = f->cells + ((size_t)1 << f->k) * f->cell_len;
     f->a_bytes = (unsigned char *)(f->prod + f->prod_len);
     f->prod_bytes = f->a_bytes + 4 * f->la;
     f->filled = f->prod_bytes + 4 * f->prod_len;
-    if (!zeroed) {
-        memset(f->cells + f->cell_len, 0,
-               ((ncells - 1) * f->cell_len + f->prod_len) * sizeof(lane));
-        memset(f->filled, 0, ncells);
-    }
 }
 
-/* Copies 1 .. COPY_SLOTS - 1 of A from copy 0, each shifted by its
-   index, in slots zeroed first unless zeroed says they are. Column i
-   reads copy i % 32, so copies n and above go unread where n < 32; there
-   each copy is at most 28 lanes */
-ALWAYS_INLINE void
-shift_copies_body(const fold *f, int zeroed)
-{
-    lane *copies = f->copies;
-    size_t la = f->la;
-    if (!zeroed)
-        memset(copies + la + 1, 0,
-               (COPY_SLOTS - 1) * (la + 1) * sizeof(lane));
-    for (size_t s = 1; s < COPY_SLOTS; s++)
-        add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
-}
+/* A fold's ledger counts: accumulate and combine adds, peak_cell_bits */
+typedef struct {
+    Py_ssize_t acc, comb, peak;
+} fold_counts;
 
-/* The fold's three phases over the copies of A and b's b_len bytes, which
-   it pads with zeros to b_pad, into the zeroed working set: prod ends as
-   the product's resolved limbs. Sets the accumulate and combine counts
-   and peak_cell_bits */
-ALWAYS_INLINE void
-fold_phases_body(const fold *f, Py_ssize_t *acc_out, Py_ssize_t *comb_out,
-                 Py_ssize_t *peak_out)
+/* One fold over copy 0 of A, whose top lane is zero, and b's b_len bytes,
+   which it pads with zeros to b_pad: prod ends as the product's resolved
+   limbs. With build set it first builds copies 1 .. COPY_SLOTS - 1 of A,
+   each shifted by its index; column i reads copy i % 32, so copies n and
+   above go unread where n < 32, and there each copy is at most 28 lanes.
+   Unless zeroed says the whole buffer is zero, it zeroes what it writes:
+   the copies it builds, cells 1 .. 2**k - 1, prod, which follows them, and
+   filled. Cell 0 is never used, so it is never touched */
+ALWAYS_INLINE fold_counts
+fold_body(const fold *f, int build, int zeroed)
 {
-    memset(f->b_bytes + f->b_len, 0, f->b_pad - f->b_len);
-    const lane *copies = f->copies;
+    lane *copies = f->copies, *cells = f->cells, *prod = f->prod;
     const unsigned char *b_bytes = f->b_bytes;
-    lane *cells = f->cells, *prod = f->prod;
     unsigned char *filled = f->filled;
     size_t n = f->n, la = f->la, cell_len = f->cell_len;
     size_t ncols = f->ncols, nparts = f->nparts;
+    size_t ncells = (size_t)1 << f->k;
+    if (build) {
+        if (!zeroed)
+            memset(copies + la + 1, 0,
+                   (COPY_SLOTS - 1) * (la + 1) * sizeof(lane));
+        for (size_t s = 1; s < COPY_SLOTS; s++)
+            add_shifted(copies + s * (la + 1), copies, la, (unsigned)s);
+    }
+    if (!zeroed) {
+        memset(cells + cell_len, 0,
+               ((ncells - 1) * cell_len + f->prod_len) * sizeof(lane));
+        memset(filled, 0, ncells);
+    }
+    memset(f->b_bytes + f->b_len, 0, f->b_pad - f->b_len);
 
     /* accumulate, 8 columns i0 .. i0 + 7 at a time. Column i's pattern has
        bit j set iff bit i of part j + 1, bit j*n + i of b, is set. Byte
@@ -538,79 +534,45 @@ fold_phases_body(const fold *f, Py_ssize_t *acc_out, Py_ssize_t *comb_out,
         add_shifted(prod + off / 32, cell, cell_len, (unsigned)(off % 32));
     }
     resolve(prod, f->prod_len);
-    *acc_out = acc_adds;
-    *comb_out = comb_adds;
-    *peak_out = peak;
+    return (fold_counts){acc_adds, comb_adds, peak};
 }
 
-/* The baseline copy of the loops, compiled for the build's instruction
-   set */
-static void
-shift_copies_baseline(const fold *f, int zeroed)
+/* fold_body compiled for the build's instruction set */
+static fold_counts
+fold_baseline(const fold *f, int build, int zeroed)
 {
-    shift_copies_body(f, zeroed);
+    return fold_body(f, build, zeroed);
 }
 
-static void
-fold_phases_baseline(const fold *f, Py_ssize_t *acc_out,
-                     Py_ssize_t *comb_out, Py_ssize_t *peak_out)
-{
-    fold_phases_body(f, acc_out, comb_out, peak_out);
-}
-
-/* A wide copy of the loops: on x86-64 gcc and clang, one compiled for
-   AVX-512F and one for AVX2, whose adds run 8 or 4 lanes to a vector */
-typedef struct {
-    const char *name;
-    void (*shift_copies)(const fold *f, int zeroed);
-    void (*fold_phases)(const fold *f, Py_ssize_t *acc_out,
-                        Py_ssize_t *comb_out, Py_ssize_t *peak_out);
-} fold_loops;
-
+/* fold_body compiled for a wide instruction set: on x86-64 gcc and clang,
+   fold_avx512f and fold_avx2, whose adds run 8 or 4 lanes to a vector */
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define WIDE_COPY(isa)                                                     \
-    __attribute__((target(#isa))) static void                              \
-    shift_copies_##isa(const fold *f, int zeroed)                          \
+    __attribute__((target(#isa))) static fold_counts                       \
+    fold_##isa(const fold *f, int build, int zeroed)                       \
     {                                                                      \
-        shift_copies_body(f, zeroed);                                      \
-    }                                                                      \
-    __attribute__((target(#isa))) static void                              \
-    fold_phases_##isa(const fold *f, Py_ssize_t *acc_out,                  \
-                      Py_ssize_t *comb_out, Py_ssize_t *peak_out)          \
-    {                                                                      \
-        fold_phases_body(f, acc_out, comb_out, peak_out);                  \
-    }                                                                      \
-    static const fold_loops isa##_loops = {#isa, shift_copies_##isa,       \
-                                           fold_phases_##isa};
+        return fold_body(f, build, zeroed);                                \
+    }
 WIDE_COPY(avx512f)
 WIDE_COPY(avx2)
 #endif
 
-/* The measured crossover (see the header), in lanes per copy of A, and
-   the wide copy module init chose, or NULL where the CPU or the build has
-   none */
+/* The measured crossover (see the header), in lanes per copy of A; the
+   routine module init chose for folds that wide, fold_baseline where the
+   CPU or the build has no wide routine; and its name, exported as SIMD */
 #define WIDE_LANES 16
-static const fold_loops *wide_loops;
+static fold_counts (*wide_fold)(const fold *f, int build,
+                                int zeroed) = fold_baseline;
+static const char *simd = "baseline";
 
-/* The loops each fold runs: the wide copy from WIDE_LANES lanes up, where
-   there is one, and otherwise the baseline copy, through a direct call */
-ALWAYS_INLINE void
-shift_copies(const fold *f, int zeroed)
+/* f's fold: the wide routine from WIDE_LANES lanes up, and otherwise
+   fold_baseline, through a direct call */
+ALWAYS_INLINE fold_counts
+run_fold(const fold *f, int build, int zeroed)
 {
-    if (wide_loops && f->la + 1 >= WIDE_LANES)
-        wide_loops->shift_copies(f, zeroed);
-    else
-        shift_copies_baseline(f, zeroed);
-}
-
-ALWAYS_INLINE void
-fold_phases(const fold *f, Py_ssize_t *acc_out, Py_ssize_t *comb_out,
-            Py_ssize_t *peak_out)
-{
-    if (wide_loops && f->la + 1 >= WIDE_LANES)
-        wide_loops->fold_phases(f, acc_out, comb_out, peak_out);
-    else
-        fold_phases_baseline(f, acc_out, comb_out, peak_out);
+    if (f->la + 1 >= WIDE_LANES)
+        return wide_fold(f, build, zeroed);
+    return fold_baseline(f, build, zeroed);
 }
 
 static PyObject *
@@ -648,22 +610,21 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         ASAN_UNPOISON_MEMORY_REGION(mem, f.total);
         ASAN_POISON_MEMORY_REGION(mem + f.total, KEEP_BYTES - f.total);
     }
-    place_fold(&f, mem, own);
+    place_fold(&f, mem);
 
     /* each cache is invalidated before its region is rebuilt and set only
        once the rebuild is done, and only in the kept region; a rebuilt a
        may move b_bytes, so it drops the kept b too */
     PyObject *product = NULL;
-    if (a != cached_a) {
+    fold_counts counts = {0, 0, 0};
+    int build = a != cached_a;
+    if (build) {
         drop_kept();
         if (read_bytes(a, f.a_bytes, 4 * f.la) < 0)
             goto done;
         for (size_t t = 0; t < f.la; t++)
             f.copies[t] = load_le32(f.a_bytes + 4 * t);
         f.copies[f.la] = 0;
-        shift_copies(&f, own);
-        if (!own && PyLong_CheckExact(a))
-            cached_a = Py_NewRef(a);
     }
     if (b != cached_b) {
         Py_CLEAR(cached_b);
@@ -673,8 +634,9 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
             cached_b = Py_NewRef(b);
     }
 
-    Py_ssize_t acc_adds, comb_adds, peak;
-    fold_phases(&f, &acc_adds, &comb_adds, &peak);
+    counts = run_fold(&f, build, own);
+    if (build && !own && PyLong_CheckExact(a))
+        cached_a = Py_NewRef(a);
     for (size_t t = 0; t < f.prod_len; t++)
         store_le32(f.prod_bytes + 4 * t, (uint32_t)f.prod[t]);
     product = _PyLong_FromByteArray(f.prod_bytes, 4 * f.prod_len, 1, 0);
@@ -690,10 +652,10 @@ done:
         return NULL;
     }
     PyTuple_SET_ITEM(result, 0, product);
-    Py_ssize_t counts[] = {acc_adds, comb_adds, k - 1, (Py_ssize_t)f.n + k - 1,
-                           peak};
+    Py_ssize_t ledger[] = {counts.acc, counts.comb, k - 1,
+                           (Py_ssize_t)f.n + k - 1, counts.peak};
     for (int i = 0; i < 5; i++) {
-        PyObject *x = PyLong_FromSsize_t(counts[i]);
+        PyObject *x = PyLong_FromSsize_t(ledger[i]);
         if (!x) {
             Py_CLEAR(result);
             break;
@@ -904,7 +866,7 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
     if (plan_fold(&f, m, k, (size_t)m, (size_t)m) < 0
             || !(mem = PyMem_Malloc(f.total)))
         return PyErr_NoMemory();
-    place_fold(&f, mem, 1);
+    place_fold(&f, mem);
     uint32_t top_mask = m % 32 ? (1u << m % 32) - 1 : LIMB_MASK;
     /* acc, comb, horner, total**2 and the residue: a total stays below
        2**33 and a residue below 2**32, so the sums fit 128 bits for any
@@ -915,32 +877,31 @@ fold_trials(PyObject *Py_UNUSED(module), PyObject *const *args,
             PyMem_Free(mem);
             return NULL;
         }
-        memset(mem, 0, f.total);
         seed_seq s = seeded;
         feed_size(&s, (uint64_t)m);
         feed_size(&s, (uint64_t)k);
         feed_size(&s, (uint64_t)t);
         word_stream g;
         pcg_seed(s, &g);
-        /* A's la words go into copy 0 and b's into b_bytes, each masked to
-           m bits */
+        /* A's la words go into copy 0, whose top lane is zero, and b's
+           into b_bytes, each masked to m bits; the fold zeroes the rest of
+           what it writes */
         for (size_t w = 0; w < f.la; w++)
             f.copies[w] = next_word(&g)
                           & (w + 1 < f.la ? LIMB_MASK : top_mask);
+        f.copies[f.la] = 0;
         for (size_t w = 0; w < f.la; w++)
             store_le32(f.b_bytes + 4 * w, next_word(&g)
                        & (w + 1 < f.la ? LIMB_MASK : top_mask));
-        shift_copies(&f, 1);
-        Py_ssize_t acc_adds, comb_adds, peak;
-        fold_phases(&f, &acc_adds, &comb_adds, &peak);
+        fold_counts counts = run_fold(&f, 1, 0);
         /* 2**32 is 1 mod 2**32 - 1, so the product's residue is that of
            the sum of its limbs, which fits 64 bits for m < 2**32 */
         uint64_t limb_sum = 0;
         for (size_t i = 0; i < f.prod_len; i++)
             limb_sum += f.prod[i];
-        uint64_t total = (uint64_t)(acc_adds + comb_adds + k - 1);
-        sums[0] += (uint64_t)acc_adds;
-        sums[1] += (uint64_t)comb_adds;
+        uint64_t total = (uint64_t)(counts.acc + counts.comb + k - 1);
+        sums[0] += (uint64_t)counts.acc;
+        sums[1] += (uint64_t)counts.comb;
         sums[2] += (uint64_t)(k - 1);
         sums[3] += (uint128)total * total;
         sums[4] += limb_sum % LIMB_MASK;
@@ -1083,17 +1044,19 @@ PyInit__corec(void)
         return NULL;
 #ifdef WIDE_COPY
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        wide_loops = &avx512f_loops;
-    else if (__builtin_cpu_supports("avx2"))
-        wide_loops = &avx2_loops;
+    if (__builtin_cpu_supports("avx512f")) {
+        wide_fold = fold_avx512f;
+        simd = "avx512f";
+    }
+    else if (__builtin_cpu_supports("avx2")) {
+        wide_fold = fold_avx2;
+        simd = "avx2";
+    }
 #endif
     PyObject *module = PyModule_Create(&corec_module);
     if (module && (PyModule_AddIntMacro(module, K_CEILING) < 0
                    || PyModule_AddIntMacro(module, WIDE_LANES) < 0
-                   || PyModule_AddStringConstant(module, "SIMD",
-                                                 wide_loops ? wide_loops->name
-                                                 : "baseline") < 0))
+                   || PyModule_AddStringConstant(module, "SIMD", simd) < 0))
         Py_CLEAR(module);
     return module;
 }

@@ -25,15 +25,18 @@ read and shift the multiplicand once. A call that needs more than 1 MiB
 drops both kept operands, folds in a zeroed buffer of its own and frees
 it before it returns. The pure lane keeps nothing between calls.
 
-The compiled lane's fold loops come in a baseline copy and, on x86-64
-gcc and clang builds, wide copies for AVX-512F and AVX2, whose adds run
-8 or 4 lanes to a vector. The module picks the wide copy once, at
-import, from what the CPU supports, and exports the choice as
-_corec.SIMD: "avx512f", "avx2" or "baseline", which KERNEL_REASON
-names. A fold whose shifted multiplicand holds at least
-_corec.WIDE_LANES = 16 lanes (a multiplicand over 448 bits) runs the
-wide copy; a narrower one, every fold of criterion 1's m <= 256, runs
-the baseline copy. Every copy returns the same tuples.
+The compiled lane's fold loops are one fold routine per instruction set:
+a baseline routine and, on x86-64 gcc and clang builds, wide routines for
+AVX-512F and AVX2, whose adds run 8 or 4 lanes to a vector. Each routine
+builds the multiplicand's shifted copies when they are new, zeroes what
+it writes unless its buffer came zeroed, and runs the three phases. The
+module picks the wide routine once, at import, from what the CPU
+supports, and exports the choice as _corec.SIMD: "avx512f", "avx2" or
+"baseline", which KERNEL_REASON names. A fold whose shifted multiplicand
+holds at least _corec.WIDE_LANES = 16 lanes (a multiplicand over 448
+bits) runs the wide routine; a narrower one, every fold of criterion 1's
+m <= 256, runs the baseline routine. Every routine returns the same
+tuples.
 
 seeded_bits(entropy, m, count) is
 draw_bits(np.random.default_rng(entropy), m, count).
@@ -47,9 +50,10 @@ product mod 2**32 - 1. The pure lane loops over seeded_bits and
 fold_multiply. The compiled lane is one call: it runs numpy's
 SeedSequence and PCG64 in C, draws each pair straight into the fold's
 limbs, runs every phase fold_multiply runs, and builds no int per trial,
-not even the product. It folds in a buffer of its own, so the operands
-fold_multiply keeps stay kept. It never releases the GIL, and it checks
-for signals between trials, so Ctrl-C stops a long point.
+not even the product. It folds in a buffer of its own, zeroing what each
+trial's fold writes, so the operands fold_multiply keeps stay kept. It
+never releases the GIL, and it checks for signals between trials, so
+Ctrl-C stops a long point.
 
 bernoulli_bits(rng, b, delta) is the int whose bit i is set iff the
 i-th of the b doubles rng.random(b) draws is below float(delta), for a

@@ -16,6 +16,23 @@ from dataclasses import dataclass
 
 _IDENT = re.compile(r"^[A-Za-z](_?[A-Za-z0-9])*$")
 
+# VHDL-2008's reserved words (IEEE 1076-2008, 15.10), which no basic
+# identifier may be, in any letter case
+_RESERVED = frozenset("""
+    abs access after alias all and architecture array assert assume
+    assume_guarantee attribute begin block body buffer bus case component
+    configuration constant context cover default disconnect downto else
+    elsif end entity exit fairness file for force function generate generic
+    group guarded if impure in inertial inout is label library linkage
+    literal loop map mod nand new next nor not null of on open or others
+    out package parameter port postponed procedure process property
+    protected pure range record register reject release rem report
+    restrict restrict_guarantee return rol ror select sequence severity
+    shared signal sla sll sra srl strong subtype then to transport type
+    unaffected units until use variable vmode vprop vunit wait when while
+    with xnor xor
+""".split())
+
 M_MIN, M_MAX = 4, 4096
 K_MIN, K_MAX = 1, 8
 
@@ -52,7 +69,8 @@ class HdlConfig:
         if not K_MIN <= self.k <= K_MAX:
             raise ValueError(
                 f"k must be in {K_MIN}..{K_MAX}, got {self.k}")
-        if not _IDENT.match(self.entity_name):
+        if not _IDENT.match(self.entity_name) \
+                or self.entity_name.lower() in _RESERVED:
             raise ValueError(
                 f"invalid HDL identifier: {self.entity_name!r}")
 

@@ -420,6 +420,8 @@ def test_default_seed_is_zero(capsys):
     (["bench", "--m-range"], "--m-range needs a value"),
     (["bench", "--trials", "3"], "bench needs --m-range"),
     (["hdl", "--m", "32"], "hdl needs --k"),
+    (["hdl", "--m", "8", "--k", "2", "--entity", "Process"],
+     "invalid HDL identifier: 'Process'"),
     (["bench", "--m-range", "16", "--trials", "many"],
      "--trials: invalid int value 'many'"),
     (["bench", "--m-range", "16", "--seed="], "--seed: invalid int value ''"),
@@ -458,8 +460,8 @@ def test_default_seed_is_zero(capsys):
      "digits; give it in 0x or 0b form"),
 ], ids=["no-command", "unknown-command", "unknown-option",
         "unknown-option-equals", "prefix", "stray-word", "missing-value",
-        "missing-required", "missing-required-hdl", "bad-int",
-        "empty-int", "bad-float", "bad-choice", "bad-choice-equals",
+        "missing-required", "missing-required-hdl", "hdl-reserved-entity",
+        "bad-int", "empty-int", "bad-float", "bad-choice", "bad-choice-equals",
         "flag-with-value", "bench-m-range-not-int", "bench-k-range-not-int",
         "bench-m-list-not-int", "optk-m-range-not-int", "bench-m-range-empty",
         "optk-m-range-empty", "bench-k-range-over-cap",

@@ -28,7 +28,8 @@ def test_config_validation():
 
 def test_entity_name_validation():
     HdlConfig(m=8, k=2, entity_name="My_Mult_2")
-    for bad in ("", "1abc", "a__b", "a_", "a-b", "entity name"):
+    for bad in ("", "1abc", "a__b", "a_", "a-b", "entity name", "begin",
+                "END", "Process"):
         with pytest.raises(ValueError):
             HdlConfig(m=8, k=2, entity_name=bad)
 

@@ -72,8 +72,8 @@ def test_lanes_agree_on_mostly_empty_banks(corec):
 
 def test_lanes_agree_across_the_wide_threshold(corec):
     # a fold whose copies of A, la + 1 lanes each, hold WIDE_LANES lanes
-    # or more runs the wide copy of the loops, a narrower one the baseline
-    # copy. m = 32 * la is the widest m of la limbs and 32 * la - 31 the
+    # or more runs the wide fold routine, a narrower one the baseline
+    # routine. m = 32 * la is the widest m of la limbs and 32 * la - 31 the
     # narrowest; every operand has bit m - 1 set, so A has la limbs
     assert corec.SIMD in ("avx512f", "avx2", "baseline")
     rng = random.Random(449)
@@ -457,6 +457,7 @@ RNG = object()  # stands for a fresh numpy Generator in the rows below
     ("fold_trials", (1, 8, 2, -1), ValueError),
     ("fold_trials", (1, 0, 2, 1), ValueError),
     ("fold_trials", (1, 8, K_CEILING + 1, 1), ValueError),
+    ("bernoulli_bits", (RNG, -1, 0.5), ValueError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_entry_points_refuse_as_the_tuple_parser_did(corec, name, args,
                                                      error):
@@ -466,6 +467,16 @@ def test_entry_points_refuse_as_the_tuple_parser_did(corec, name, args,
     args = tuple(np.random.default_rng(1) if x is RNG else x for x in args)
     with pytest.raises(error):
         getattr(corec, name)(*args)
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_lanes_refuse_a_negative_count_alike(lane, request):
+    module = request.getfixturevalue("corec") if lane == "compiled" \
+        else _corepy
+    with pytest.raises(ValueError, match=r"^b must be >= 0, got -1$"):
+        module.bernoulli_bits(np.random.default_rng(1), -1, 0.5)
+    with pytest.raises(ValueError, match=r"^trials must be >= 0, got -1$"):
+        module.fold_trials(1, 8, 2, -1)
 
 
 def test_entry_points_take_bools_and_numpy_ints(corec):
