@@ -130,7 +130,8 @@
    "BitGenerator" capsule b times, holding the bit generator's lock and not
    the GIL, as Generator.random does. So on every numpy bit generator the
    value and the state left behind are the pure lane's, and the draw needs
-   b / 8 bytes, where the pure lane holds a float64 and a bool per bit.
+   b / 8 bytes from PyMem_Malloc, which tracemalloc sees, where the pure
+   lane holds a float64 and a bool per bit.
    density.bernoulli_block, its one caller, checks that rng is a numpy
    Generator, as folding.multiply checks fold_multiply's operands; here an
    rng without those attributes raises AttributeError, and a capsule of
@@ -160,7 +161,7 @@
 #define ASAN_UNPOISON_MEMORY_REGION(p, size) ((void)(p), (void)(size))
 #endif
 
-/* folding.K_CEILING, exported as K_CEILING for the tests to compare: above
+/* costmodel.K_CEILING, exported as K_CEILING for the tests to compare: above
    it 2**k cells alone outgrow the accumulator bank budget */
 #define K_CEILING 27
 
@@ -378,7 +379,7 @@ typedef struct {
     size_t n, la, b_len, ncols, nparts, b_pad, cell_len, prod_len;
     size_t b_lanes, total;
     lane *copies, *cells, *prod;
-    unsigned char *b_bytes, *a_bytes, *prod_bytes, *filled;
+    unsigned char *b_bytes, *filled;
 } fold;
 
 /* f's sizes for operands of a_bits and b_bits bits: 0, or -1 if its
@@ -411,8 +412,7 @@ plan_fold(fold *f, Py_ssize_t m, Py_ssize_t k, size_t a_bits, size_t b_bits)
            || reserve(&f->total, (size_t)1 << k,
                       f->cell_len * sizeof(lane)) < 0
            || reserve(&f->total, f->prod_len, sizeof(lane)) < 0
-           || reserve(&f->total, 4 * (f->la + f->prod_len) + ((size_t)1 << k),
-                      1) < 0 ? -1 : 0;
+           || reserve(&f->total, (size_t)1 << k, 1) < 0 ? -1 : 0;
 }
 
 /* Point f's regions into mem, which holds f->total bytes */
@@ -423,9 +423,7 @@ place_fold(fold *f, unsigned char *mem)
     f->b_bytes = (unsigned char *)(f->copies + COPY_SLOTS * (f->la + 1));
     f->cells = (lane *)(f->b_bytes + f->b_lanes * sizeof(lane));
     f->prod = f->cells + ((size_t)1 << f->k) * f->cell_len;
-    f->a_bytes = (unsigned char *)(f->prod + f->prod_len);
-    f->prod_bytes = f->a_bytes + 4 * f->la;
-    f->filled = f->prod_bytes + 4 * f->prod_len;
+    f->filled = (unsigned char *)(f->prod + f->prod_len);
 }
 
 /* A fold's ledger counts: accumulate and combine adds, peak_cell_bits */
@@ -620,10 +618,12 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     int build = a != cached_a;
     if (build) {
         drop_kept();
-        if (read_bytes(a, f.a_bytes, 4 * f.la) < 0)
+        /* a's limbs widen in copy 0, from the top lane down: lane t,
+           bytes 8t .. 8t + 7, lies past limbs 0 .. t - 1, still unread */
+        if (read_bytes(a, (unsigned char *)f.copies, 4 * f.la) < 0)
             goto done;
-        for (size_t t = 0; t < f.la; t++)
-            f.copies[t] = load_le32(f.a_bytes + 4 * t);
+        for (size_t t = f.la; t-- > 0;)
+            f.copies[t] = load_le32((unsigned char *)f.copies + 4 * t);
         f.copies[f.la] = 0;
     }
     if (b != cached_b) {
@@ -637,9 +637,12 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
     counts = run_fold(&f, build, own);
     if (build && !own && PyLong_CheckExact(a))
         cached_a = Py_NewRef(a);
+    /* the product narrows in prod, from the bottom lane up: limb t,
+       bytes 4t .. 4t + 3, lies in lanes t / 2 <= t, already read */
     for (size_t t = 0; t < f.prod_len; t++)
-        store_le32(f.prod_bytes + 4 * t, (uint32_t)f.prod[t]);
-    product = _PyLong_FromByteArray(f.prod_bytes, 4 * f.prod_len, 1, 0);
+        store_le32((unsigned char *)f.prod + 4 * t, (uint32_t)f.prod[t]);
+    product = _PyLong_FromByteArray((unsigned char *)f.prod, 4 * f.prod_len,
+                                    1, 0);
 done:
     /* the memory is done with before anything that may run Python code:
        an own buffer goes back to the system on every return */
@@ -962,7 +965,7 @@ bernoulli_bits(PyObject *Py_UNUSED(module), PyObject *const *args,
     if (!b)
         return PyLong_FromLong(0);
     size_t nwords = ((size_t)b + 63) / 64;
-    unsigned char *data = malloc(8 * nwords);
+    unsigned char *data = PyMem_Malloc(8 * nwords);
     if (!data)
         return PyErr_NoMemory();
     PyObject *result = NULL, *lock = NULL, *capsule = NULL;
@@ -997,7 +1000,7 @@ done:
     Py_XDECREF(lock);
     Py_XDECREF(capsule);
     Py_XDECREF(bit_generator);
-    free(data);
+    PyMem_Free(data);
     return result;
 }
 

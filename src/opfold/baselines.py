@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel as _k
-from . import folding
+from . import costmodel
 from .bitnum import BitNum
 
 
@@ -66,7 +66,7 @@ class SignedDigitString:
 # _M_MAX[1], the widest k = 1 fold multiply admits; the baselines test a
 # width against it inline and call _validate_multiply only to raise the
 # error of a refused one
-_WIDTH_MAX = folding._M_MAX[1]
+_WIDTH_MAX = costmodel._M_MAX[1]
 _new = object.__new__
 
 
@@ -75,7 +75,7 @@ def classical_multiply(A, B):
     a, b = A._value, B._value
     width = (a | b).bit_length()
     if width > _WIDTH_MAX:
-        folding._validate_multiply(width, 1)
+        costmodel._validate_multiply(width, 1)
     product, count = _k.classical_multiply(a, b)
     # BitNum._wrap inline, with no call frame, as in folding.multiply
     p = _new(BitNum)
@@ -101,7 +101,7 @@ def csd_multiply(A, B):
     # carries out
     width = (a | b + (b >> 1)).bit_length()
     if width > _WIDTH_MAX:
-        folding._validate_multiply(width, 1)
+        costmodel._validate_multiply(width, 1)
     product, count = _k.csd_multiply(a, b)
     p = _new(BitNum)
     p._value = product

@@ -22,31 +22,7 @@ from . import _corepy
 from . import _kernel as _k
 from . import costmodel
 from .bitnum import BitNum
-
-# multiply and trace_multiply refuse a degree whose accumulator bank would
-# outgrow BANK_BUDGET_BITS (16 MiB). A cell is charged its width m + ceil(m/k)
-# (the costmodel.memory_bits footprint) plus CELL_OVERHEAD_BITS for the list
-# slot and int object the host keeps per cell, which dominates at small m.
-# No m admits a degree above K_CEILING: its 2**k - 1 cells alone outnumber
-# the budget's bits. _validate_multiply and costmodel.optimal_k test it
-# before 1 << k. The bank grows with m, so the budget admits m = 1 ..
-# _M_MAX[k] at degree k, and multiply tests it with that one lookup.
-# The budget charges the 2**k - 1 cells only, nothing per column. Peak RSS
-# of one multiply above a fresh process's start (ru_maxrss, 2-CPU x86-64,
-# A all ones, every cell filled once): compiled lane 150 MB at k = 1,
-# m = 2**24 (charged 4.2 MB), mostly 32 pre-shifted copies of A in 64-bit
-# lanes, and 52 MB at k = 5, m = 3,000,000 (charged 14 MB); 156 MB at
-# k = 1 when B's top bit is set, since the compiled lane reads B's columns
-# 8 at a time and keeps no per-column array; pure lane 272 MB and 31 MB,
-# the first mostly its per-column pattern array and list. Between calls
-# the compiled lane keeps one static 1 MiB region, in RSS only as far as
-# folds have written it, holding the last two operands' kernel forms, and
-# references to those two ints, at most about 1 MiB more; a call that
-# needs more folds in a buffer of its own and frees it, so the 2**24-bit
-# multiply leaves no buffer behind.
-BANK_BUDGET_BITS = 1 << 27
-CELL_OVERHEAD_BITS = 512
-K_CEILING = BANK_BUDGET_BITS.bit_length() - 1
+from .costmodel import K_CEILING, _M_MAX, _validate_multiply
 
 
 @dataclass(frozen=True)
@@ -196,42 +172,6 @@ def horner_assemble(bank, n, k):
     """Fold the part products together: k-1 shifts by n, k-1 additions."""
     return BitNum._wrap(
         _corepy.horner(_cells(bank, k, "horner_assemble"), n, k))
-
-
-def bank_bits(m, k):
-    """Host footprint of the 2**k - 1 accumulator cells, in bits."""
-    costmodel._check(m, k)
-    return _bank_bits(m, k)
-
-
-def _bank_bits(m, k):
-    """bank_bits for an (m, k) already checked."""
-    return costmodel._memory_bits(m, k, CELL_OVERHEAD_BITS)
-
-
-def _m_max(k):
-    """Largest m with _bank_bits(m, k) <= BANK_BUDGET_BITS, or 0.
-
-    The bank is (2**k - 1) * (m + ceil(m/k) + CELL_OVERHEAD_BITS), so m fits
-    iff m + ceil(m/k) <= t. With t = q*(k + 1) + r, m = q*k + j has
-    m + ceil(m/k) = q*(k + 1) + j + (j > 0), largest at j = max(r - 1, 0).
-    """
-    t = BANK_BUDGET_BITS // ((1 << k) - 1) - CELL_OVERHEAD_BITS
-    q, r = divmod(t, k + 1)
-    return max(q * k + max(r - 1, 0), 0)
-
-
-# _M_MAX[k] for k in 0 .. K_CEILING; no degree-0 fold exists
-_M_MAX = (0, *map(_m_max, range(1, K_CEILING + 1)))
-
-
-def _validate_multiply(m, k, *operands):
-    """costmodel._check, then the bank budget, k > K_CEILING before 1 << k."""
-    costmodel._check(m, k, *operands)
-    if k > K_CEILING or m > _M_MAX[k]:
-        raise ValueError(
-            f"k = {k} at m = {m} needs an accumulator bank over the budget "
-            f"of {BANK_BUDGET_BITS} bits")
 
 
 def multiply(A, B, m, k):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opfold import _corepy, _kernel, folding
+from opfold import _corepy, _kernel, costmodel
 from opfold.bitnum import BitNum, UnderflowError, random_bitnum
 from opfold.baselines import (
     SignedDigitString,
@@ -339,9 +339,9 @@ def test_baselines_refuse_a_fold_over_the_bank_budget(monkeypatch):
     kernel_calls = []
     monkeypatch.setattr(_kernel, "fold_multiply",
                         lambda *args: kernel_calls.append(args))
-    m_max = folding._M_MAX[1]
+    m_max = costmodel._M_MAX[1]
     over = f"k = 1 at m = {m_max + 1} needs an accumulator bank over the " \
-           f"budget of {folding.BANK_BUDGET_BITS} bits"
+           f"budget of {costmodel.BANK_BUDGET_BITS} bits"
     zero, wide = BitNum(0), BitNum(1 << m_max)
     for call in (classical_multiply, csd_multiply):
         for a, b in ((zero, wide), (wide, zero)):

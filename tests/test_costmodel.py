@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from opfold import costmodel
 from opfold.bitnum import BitNum
-from opfold.folding import BANK_BUDGET_BITS, K_CEILING, multiply
 from opfold.costmodel import (
+    BANK_BUDGET_BITS,
+    K_CEILING,
     SWEEP_COLUMNS,
     affine_avg,
     asymptotic_ratio,
@@ -25,6 +26,7 @@ from opfold.costmodel import (
     table1,
     yen_cost,
 )
+from opfold.folding import multiply
 
 
 def _exact_mean_total(m, k):

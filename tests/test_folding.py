@@ -9,18 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfold import folding
+from opfold import costmodel
 from opfold.bitnum import BitNum
-from opfold.costmodel import combine_cost, f_avg, f_wst, memory_bits, optimal_k
-from opfold.folding import (
+from opfold.costmodel import (
     BANK_BUDGET_BITS,
     CELL_OVERHEAD_BITS,
     K_CEILING,
+    bank_bits,
+    combine_cost,
+    f_avg,
+    f_wst,
+    memory_bits,
+    optimal_k,
+)
+from opfold.folding import (
     AccumulatorBank,
     CostLedger,
     Decomposition,
     accumulate,
-    bank_bits,
     characteristic_vectors,
     combine,
     format_trace,
@@ -136,7 +142,7 @@ def test_numpy_int_shapes_over_budget_refused_as_ints(m, k):
                 lambda: multiply(BitNum(0), BitNum(0), np.int64(m), k),
                 lambda: multiply(BitNum(1), BitNum(1), np.int64(m),
                                  np.int64(k)),
-                lambda: folding._validate_multiply(np.int64(m), k)):
+                lambda: costmodel._validate_multiply(np.int64(m), k)):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == str(want.value)
@@ -549,21 +555,21 @@ def test_bank_budget_boundary():
 def test_m_max_is_the_largest_m_the_budget_admits():
     # multiply's one-lookup test against the budget rule it stands for;
     # a degree no m admits has a 0 entry
-    assert len(folding._M_MAX) == K_CEILING + 1
+    assert len(costmodel._M_MAX) == K_CEILING + 1
     for k in range(1, K_CEILING + 1):
-        m_max = folding._M_MAX[k]
+        m_max = costmodel._M_MAX[k]
         if m_max:
             assert bank_bits(m_max, k) <= BANK_BUDGET_BITS, k
         assert BANK_BUDGET_BITS < bank_bits(m_max + 1, k), k
-    assert folding._M_MAX[1] > folding._M_MAX[8] > 4096
-    assert folding._M_MAX[K_CEILING] == 0
+    assert costmodel._M_MAX[1] > costmodel._M_MAX[8] > 4096
+    assert costmodel._M_MAX[K_CEILING] == 0
 
 
 @pytest.mark.parametrize("kind", [int, np.int64], ids=["int", "numpy-int64"])
 def test_multiply_refuses_one_past_m_max(kind):
     # zero operands keep every refused call from building anything
     for k in range(1, K_CEILING + 1):
-        m = folding._M_MAX[k] + 1
+        m = costmodel._M_MAX[k] + 1
         with pytest.raises(ValueError) as info:
             multiply(BitNum(0), BitNum(0), kind(m), kind(k))
         assert str(info.value) == (

@@ -22,9 +22,9 @@ import pytest
 
 from opfold import _corepy, _kernel, baselines
 from opfold.bitnum import BitNum, random_bitnums
-from opfold.costmodel import measure_mean
+from opfold.costmodel import K_CEILING, measure_mean
 from opfold.density import bernoulli_block
-from opfold.folding import K_CEILING, multiply
+from opfold.folding import multiply
 
 def _check(corec, a, b, m, k):
     assert corec.fold_multiply(a, b, m, k) == \
@@ -79,6 +79,9 @@ def test_lanes_agree_across_the_wide_threshold(corec):
     rng = random.Random(449)
     for lanes in (corec.WIDE_LANES - 1, corec.WIDE_LANES,
                   corec.WIDE_LANES + 1):
+        # a multiplicand has at least one limb, so its copies two lanes
+        if lanes < 2:
+            continue
         for m in (32 * (lanes - 1) - 31, 32 * (lanes - 1)):
             top = 1 << (m - 1)
             ones = (1 << m) - 1
@@ -319,14 +322,14 @@ def test_call_over_one_mib_then_small(corec):
 
 
 def test_fold_past_the_kept_region_takes_a_traced_buffer(corec):
-    # at k = 1 with full-width operands a fold needs 1,048,274 bytes at
-    # m = 104,800, inside the kept 1 MiB region, and 1,048,590 at
-    # m = 104,801, which it takes from PyMem_Calloc, so tracemalloc sees
+    # at k = 1 with full-width operands a fold needs 1,048,394 bytes at
+    # m = 108,896, inside the kept 1 MiB region, and 1,048,698 at
+    # m = 108,897, which it takes from PyMem_Calloc, so tracemalloc sees
     # it, and frees before it returns. The small pair, the same objects
     # each time, is kept between the big folds
     small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
     small = _corepy.fold_multiply(small_a, small_b, 100, 3)
-    cases = [(m, (1 << m) - 1, 1 | 1 << (m - 1)) for m in (104_800, 104_801)]
+    cases = [(m, (1 << m) - 1, 1 | 1 << (m - 1)) for m in (108_896, 108_897)]
     expected = [_corepy.fold_multiply(a, b, m, 1) for m, a, b in cases]
     results, rises = [], []
     tracemalloc.start()
@@ -817,6 +820,19 @@ def test_bernoulli_bits_compare_with_float_delta(corec):
         for lane in (corec, _corepy):
             assert lane.bernoulli_bits(np.random.default_rng(1), 1, delta) \
                 == 0, (lane, delta)
+
+
+def test_bernoulli_bits_buffer_is_traced(corec):
+    # the word buffer comes from PyMem_Malloc, so tracemalloc sees it
+    # beside the result int it is read into: 2**17 bytes each at 2**20 bits
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        corec.bernoulli_bits(rng, 1 << 20, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= 2 << 17
 
 
 @pytest.mark.parametrize("rng", [
