@@ -1,11 +1,14 @@
 /* Compiled lane of the kernel layer: _corepy.fold_multiply,
-   _corepy.fold_trials and _corepy.bernoulli_bits in C.
+   _corepy.fold_ledger, _corepy.fold_trials and _corepy.bernoulli_bits
+   in C.
 
    fold_multiply(a, b, m, k) takes and returns what the pure lane does and
-   runs the same schedule, so products and ledgers are identical. It loads
-   its operands, through the cache below, and fold_body builds the copies
-   of A and runs accumulate, combine and Horner for it and for
-   fold_trials; the phases are written nowhere else.
+   runs the same schedule, so products and ledgers are identical. Its fold,
+   fold_into, loads the operands, through the cache below, and fold_body
+   builds the copies of A and runs accumulate, combine and Horner for it
+   and for fold_trials; the phases are written nowhere else.
+   fold_ledger(a, b, m, k, product_type, ledger_type) runs fold_into too,
+   and returns folding.multiply's (product, ledger) itself: see below.
 
    Numbers are arrays of 32-bit limbs, lowest first, each held in a 64-bit
    lane. add_shifted adds x << s, 0 <= s < 32, to a run of lanes, reading
@@ -38,9 +41,9 @@
    tuples are the baseline's. Each fold zeroes what it writes, unless its
    buffer came zeroed from PyMem_Calloc.
 
-   fold_multiply folds in a static region of KEEP_BYTES, 1 MiB, that
-   outlives the call; it lives in .bss, so its pages enter RSS only once a
-   fold writes them. Its front holds the 32 shifted copies of the last
+   fold_into folds in a static region of KEEP_BYTES, 1 MiB, exported as
+   KEEP_BYTES, that outlives the call; it lives in .bss, so its pages
+   enter RSS only once a fold writes them. Its front holds the 32 shifted copies of the last
    multiplicand, and the next region the last multiplier's bytes, which
    each call pads with zeros as far as its accumulate reads; the call's
    working set follows, and each call zeroes only that. A call whose a is
@@ -60,7 +63,7 @@
    returns its ~150 MB; between calls only the 1 MiB region stays. Under
    AddressSanitizer the region past the call's working set is poisoned,
    so an overrun traps as one past an exact-size allocation would. The
-   region takes no lock: that is safe only because fold_multiply never
+   region takes no lock: that is safe only because fold_into never
    releases the GIL.
 
    fold_trials(seed, m, k, trials) runs a sweep point in one call. It
@@ -137,10 +140,19 @@
    rng without those attributes raises AttributeError, and a capsule of
    another name ValueError, before any draw.
 
-   fold_multiply, fold_trials and bernoulli_bits are vectorcall entry
-   points (METH_FASTCALL, PEP 590): each reads its arguments from the
-   caller's array, and the folds build their results with PyTuple_New, so
-   a call makes no argument tuple and parses no format string. */
+   fold_multiply, fold_ledger, fold_trials and bernoulli_bits are
+   vectorcall entry points (METH_FASTCALL, PEP 590): each reads its
+   arguments from the caller's array, and fold_multiply and fold_trials
+   build their results with PyTuple_New, so a call makes no argument tuple
+   and parses no format string. fold_ledger builds no 6-tuple: it makes
+   its product_type and ledger_type instances with their tp_alloc, as
+   object.__new__ does, so each holds a reference to its class that its
+   dealloc gives back. It sets the product's _value through
+   PyObject_SetAttr and the ledger's five counts as one dict, keyed by
+   names interned at module init, through the class's __dict__
+   descriptor, past a frozen dataclass's __setattr__. Both classes arrive as arguments, so
+   the module keeps no reference to them; each must be a class with
+   object's __new__, for which tp_alloc alone makes a sound instance. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -336,11 +348,11 @@ ssize_arg(PyObject *x, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* fold_multiply's kept region (see the header), where every fold of at
-   most KEEP_BYTES runs. Its front holds COPY_SLOTS slots of la + 1 lanes,
+/* fold_into's kept region (see the header), where every fold of at most
+   KEEP_BYTES runs. Its front holds COPY_SLOTS slots of la + 1 lanes,
    the copies of cached_a, and b_bytes after them holds cached_b; a cache
    is NULL when its region holds nothing reusable. No lock guards it:
-   fold_multiply never releases the GIL and runs no Python code while the
+   fold_into never releases the GIL and runs no Python code while the
    region is in use, so no other call reaches it. */
 #define COPY_SLOTS 32
 #define KEEP_BYTES ((size_t)1 << 20)
@@ -573,18 +585,25 @@ run_fold(const fold *f, int build, int zeroed)
     return fold_baseline(f, build, zeroed);
 }
 
-static PyObject *
-fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
-              Py_ssize_t nargs)
+/* The checks of a, b, m and k, args[0 .. 3], that both fold entry points
+   make, after the count: 0 with m and k read, or -1 with an exception set */
+static int
+fold_args(const char *func, PyObject *const *args, Py_ssize_t nargs,
+          Py_ssize_t want, Py_ssize_t *m, Py_ssize_t *k)
 {
-    Py_ssize_t m, k;
-    if (check_nargs("fold_multiply", nargs, 4) < 0
-            || int_arg("fold_multiply", args, 0) < 0
-            || int_arg("fold_multiply", args, 1) < 0
-            || ssize_arg(args[2], &m) < 0 || ssize_arg(args[3], &k) < 0
-            || check_shape(m, k) < 0)
-        return NULL;
-    PyObject *a = args[0], *b = args[1];
+    return check_nargs(func, nargs, want) < 0
+           || int_arg(func, args, 0) < 0 || int_arg(func, args, 1) < 0
+           || ssize_arg(args[2], m) < 0 || ssize_arg(args[3], k) < 0
+           || check_shape(*m, *k) < 0 ? -1 : 0;
+}
+
+/* The fold of fold_multiply and fold_ledger, for a and b checked against
+   m: the product int, with the ledger's five counts in field order in
+   counts, or NULL with an exception set */
+static PyObject *
+fold_into(PyObject *a, PyObject *b, Py_ssize_t m, Py_ssize_t k,
+          Py_ssize_t counts[5])
+{
     Py_ssize_t a_bits = operand_bits(a, "multiplicand", m);
     Py_ssize_t b_bits = a_bits < 0 ? -1 : operand_bits(b, "multiplier", m);
     if (b_bits < 0)
@@ -614,7 +633,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
        once the rebuild is done, and only in the kept region; a rebuilt a
        may move b_bytes, so it drops the kept b too */
     PyObject *product = NULL;
-    fold_counts counts = {0, 0, 0};
+    fold_counts c;
     int build = a != cached_a;
     if (build) {
         drop_kept();
@@ -634,7 +653,7 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
             cached_b = Py_NewRef(b);
     }
 
-    counts = run_fold(&f, build, own);
+    c = run_fold(&f, build, own);
     if (build && !own && PyLong_CheckExact(a))
         cached_a = Py_NewRef(a);
     /* the product narrows in prod, from the bottom lane up: limb t,
@@ -643,11 +662,27 @@ fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
         store_le32((unsigned char *)f.prod + 4 * t, (uint32_t)f.prod[t]);
     product = _PyLong_FromByteArray((unsigned char *)f.prod, 4 * f.prod_len,
                                     1, 0);
+    counts[0] = c.acc;
+    counts[1] = c.comb;
+    counts[2] = k - 1;
+    counts[3] = (Py_ssize_t)f.n + k - 1;
+    counts[4] = c.peak;
 done:
     /* the memory is done with before anything that may run Python code:
        an own buffer goes back to the system on every return */
     if (own)
         PyMem_Free(mem);
+    return product;
+}
+
+static PyObject *
+fold_multiply(PyObject *Py_UNUSED(module), PyObject *const *args,
+              Py_ssize_t nargs)
+{
+    Py_ssize_t m, k, counts[5];
+    PyObject *product = NULL;
+    if (fold_args("fold_multiply", args, nargs, 4, &m, &k) == 0)
+        product = fold_into(args[0], args[1], m, k, counts);
     /* (product, *counts); a failed tuple frees the slots it filled */
     PyObject *result = product ? PyTuple_New(6) : NULL;
     if (!result) {
@@ -655,16 +690,81 @@ done:
         return NULL;
     }
     PyTuple_SET_ITEM(result, 0, product);
-    Py_ssize_t ledger[] = {counts.acc, counts.comb, k - 1,
-                           (Py_ssize_t)f.n + k - 1, counts.peak};
     for (int i = 0; i < 5; i++) {
-        PyObject *x = PyLong_FromSsize_t(ledger[i]);
+        PyObject *x = PyLong_FromSsize_t(counts[i]);
         if (!x) {
             Py_CLEAR(result);
             break;
         }
         PyTuple_SET_ITEM(result, i + 1, x);
     }
+    return result;
+}
+
+/* The names fold_ledger sets, interned once at module init: the product's
+   slot, the ledger's __dict__, and folding.CostLedger's fields in
+   declared order */
+static PyObject *value_str, *dict_str, *ledger_names[5];
+
+/* 0, or -1 with TypeError set unless args[i] is a class with object's
+   __new__, as the classes object.__new__ builds have: tp_alloc alone then
+   makes a sound instance of it */
+static int
+class_arg(const char *func, PyObject *const *args, int i)
+{
+    if (!PyType_Check(args[i])) {
+        PyErr_Format(PyExc_TypeError, "%s() argument %d must be a class, "
+                     "not %.50s", func, i + 1, Py_TYPE(args[i])->tp_name);
+        return -1;
+    }
+    PyTypeObject *type = (PyTypeObject *)args[i];
+    if (type->tp_new == PyBaseObject_Type.tp_new)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() argument %d, class %.50s, has a "
+                 "__new__ of its own", func, i + 1, type->tp_name);
+    return -1;
+}
+
+/* fold_ledger(a, b, m, k, product_type, ledger_type): fold_into's fold,
+   returned as folding.multiply returns it. The product is a product_type
+   whose _value is the product int, and the ledger a ledger_type whose
+   __dict__ maps the five field names to the counts. The dict is set as
+   object.__setattr__(ledger, "__dict__", fields) sets it, through the
+   class's __dict__ descriptor and past a frozen dataclass's __setattr__:
+   on 3.13, PyObject_GenericSetDict leaves a fresh instance's inline
+   values in place, and attribute reads then miss the dict it set */
+static PyObject *
+fold_ledger(PyObject *Py_UNUSED(module), PyObject *const *args,
+            Py_ssize_t nargs)
+{
+    Py_ssize_t m, k, counts[5];
+    if (fold_args("fold_ledger", args, nargs, 6, &m, &k) < 0
+            || class_arg("fold_ledger", args, 4) < 0
+            || class_arg("fold_ledger", args, 5) < 0)
+        return NULL;
+    PyObject *value = fold_into(args[0], args[1], m, k, counts);
+    if (!value)
+        return NULL;
+    PyTypeObject *product_type = (PyTypeObject *)args[4];
+    PyTypeObject *ledger_type = (PyTypeObject *)args[5];
+    PyObject *result = NULL, *product = NULL, *ledger = NULL;
+    PyObject *fields = PyDict_New();
+    for (int i = 0; fields && i < 5; i++) {
+        PyObject *x = PyLong_FromSsize_t(counts[i]);
+        if (!x || PyDict_SetItem(fields, ledger_names[i], x) < 0)
+            Py_CLEAR(fields);
+        Py_XDECREF(x);
+    }
+    if (fields
+            && (product = product_type->tp_alloc(product_type, 0))
+            && PyObject_SetAttr(product, value_str, value) == 0
+            && (ledger = ledger_type->tp_alloc(ledger_type, 0))
+            && PyObject_GenericSetAttr(ledger, dict_str, fields) == 0)
+        result = PyTuple_Pack(2, product, ledger);
+    Py_XDECREF(fields);
+    Py_XDECREF(ledger);
+    Py_XDECREF(product);
+    Py_DECREF(value);
     return result;
 }
 
@@ -1011,6 +1111,11 @@ static PyMethodDef corec_methods[] = {
      "Fused folded multiply of ints 0 <= a, b < 2**m with 1 <= k <= 27.\n"
      "Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,\n"
      "peak_cell_bits), as _corepy.fold_multiply does."},
+    {"fold_ledger", (PyCFunction)(void (*)(void))fold_ledger,
+     METH_FASTCALL,
+     "fold_ledger(a, b, m, k, product_type, ledger_type)\n--\n\n"
+     "fold_multiply's fold, returned as (product, ledger): product_type\n"
+     "and ledger_type instances built as _corepy.fold_ledger builds them."},
     {"fold_trials", (PyCFunction)(void (*)(void))fold_trials,
      METH_FASTCALL,
      "fold_trials(seed, m, k, trials)\n--\n\n"
@@ -1031,7 +1136,7 @@ static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_corec",
     .m_doc = "Compiled lane of the kernel layer: fold_multiply, "
-             "fold_trials and bernoulli_bits.",
+             "fold_ledger, fold_trials and bernoulli_bits.",
     .m_size = -1,
     .m_methods = corec_methods,
 };
@@ -1043,8 +1148,16 @@ PyInit__corec(void)
             || !(capsule_str = PyUnicode_InternFromString("capsule"))
             || !(lock_str = PyUnicode_InternFromString("lock"))
             || !(acquire_str = PyUnicode_InternFromString("acquire"))
-            || !(release_str = PyUnicode_InternFromString("release")))
+            || !(release_str = PyUnicode_InternFromString("release"))
+            || !(value_str = PyUnicode_InternFromString("_value"))
+            || !(dict_str = PyUnicode_InternFromString("__dict__")))
         return NULL;
+    static const char *const fields[] = {"accumulate_adds", "combine_adds",
+                                         "horner_adds", "shifts",
+                                         "peak_cell_bits"};
+    for (int i = 0; i < 5; i++)
+        if (!(ledger_names[i] = PyUnicode_InternFromString(fields[i])))
+            return NULL;
 #ifdef WIDE_COPY
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
@@ -1059,6 +1172,7 @@ PyInit__corec(void)
     PyObject *module = PyModule_Create(&corec_module);
     if (module && (PyModule_AddIntMacro(module, K_CEILING) < 0
                    || PyModule_AddIntMacro(module, WIDE_LANES) < 0
+                   || PyModule_AddIntMacro(module, KEEP_BYTES) < 0
                    || PyModule_AddStringConstant(module, "SIMD", simd) < 0))
         Py_CLEAR(module);
     return module;

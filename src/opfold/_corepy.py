@@ -174,6 +174,27 @@ def fold_multiply(a, b, m, k):
     return horner(cells, n, k), acc_adds, comb_adds, k - 1, n + k - 1, peak
 
 
+# folding.CostLedger's fields in declared order, the names fold_ledger
+# gives fold_multiply's five counts
+LEDGER_FIELDS = ("accumulate_adds", "combine_adds", "horner_adds", "shifts",
+                 "peak_cell_bits")
+
+
+def fold_ledger(a, b, m, k, product_type, ledger_type):
+    """fold_multiply's fold, returned as folding.multiply returns it:
+    (product, ledger). The product is a product_type whose _value is the
+    product int; the ledger is a ledger_type whose __dict__, set past its
+    __setattr__ as a frozen dataclass needs, maps LEDGER_FIELDS to the
+    counts. Both are built by object.__new__, with no __init__ call, as
+    _corec.fold_ledger builds them."""
+    value, *counts = fold_multiply(a, b, m, k)
+    product = object.__new__(product_type)
+    product._value = value
+    ledger = object.__new__(ledger_type)
+    object.__setattr__(ledger, "__dict__", dict(zip(LEDGER_FIELDS, counts)))
+    return product, ledger
+
+
 def fold_trials(seed, m, k, trials):
     """The ledger sums of `trials` folds: trial t folds the two m-bit values
     seeded_bits((seed, m, k, t), m, 2) gives. Returns the accumulate,

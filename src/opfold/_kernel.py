@@ -1,7 +1,7 @@
 """The kernel layer: one fold kernel, both baselines at k = 1, and draws.
 
-fold_multiply, fold_trials and bernoulli_bits come from the compiled
-lane `_corec` when it is built (`python3 setup.py build_ext --inplace`)
+fold_multiply, fold_ledger, fold_trials and bernoulli_bits come from the
+compiled lane `_corec` when it is built (`python3 setup.py build_ext --inplace`)
 and from _corepy otherwise, all from one lane; KERNEL_NAME names the
 lane and KERNEL_REASON says why it was chosen. _corepy's NAF masks, the
 bit reader `_bit_flags` that SignedDigitString.digits is read with, its
@@ -77,18 +77,30 @@ peak_cell_bits on the k part cells alone and the pure lane, the
 all-cell reference, on every cell. On either lane fold_multiply(a, b,
 m, k) returns (product, accumulate_adds, combine_adds, horner_adds,
 shifts, peak_cell_bits): after the product come folding.CostLedger's
-fields in declared order, which folding.multiply unpacks by name into
-its ledger. shifts is the model's n column shifts plus k - 1
-Horner shifts.
+fields in declared order. shifts is the model's n column shifts plus
+k - 1 Horner shifts. The baselines read that tuple, as do the
+lane-parity checks of the tests and of bench/run.py.
+
+fold_ledger(a, b, m, k, product_type, ledger_type) runs the same fold
+and returns folding.multiply's result itself, (product, ledger): a
+product_type whose _value is the product int, and a ledger_type whose
+__dict__ maps CostLedger's field names to the counts, both built with no
+__init__ call, the dict set past a frozen dataclass's __setattr__.
+folding.multiply passes BitNum and CostLedger and returns what it gets,
+so on the compiled lane no Python code runs between the fold and the
+caller. Each class must have object's __new__; the compiled lane raises
+TypeError for any other.
 """
 
 from . import _corepy
 from ._corepy import _bit_flags, _from_bits, draw_bits, naf_masks, seeded_bits
 
 try:
-    from ._corec import SIMD, bernoulli_bits, fold_multiply, fold_trials
+    from ._corec import (SIMD, bernoulli_bits, fold_ledger, fold_multiply,
+                         fold_trials)
 except ImportError as exc:
-    from ._corepy import bernoulli_bits, fold_multiply, fold_trials
+    from ._corepy import (bernoulli_bits, fold_ledger, fold_multiply,
+                          fold_trials)
     KERNEL_NAME = _corepy.KERNEL_NAME
     KERNEL_REASON = f"compiled lane not importable: {exc}"
 else:
@@ -96,7 +108,7 @@ else:
     KERNEL_REASON = f"opfold._corec is built, {SIMD} loops"
 
 __all__ = ["KERNEL_NAME", "KERNEL_REASON", "bernoulli_bits",
-           "classical_multiply", "csd_multiply", "draw_bits",
+           "classical_multiply", "csd_multiply", "draw_bits", "fold_ledger",
            "fold_multiply", "fold_trials", "naf_masks", "seeded_bits"]
 
 

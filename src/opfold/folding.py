@@ -8,8 +8,10 @@ cell 2**(j-1) into A x B_j for every part (combine), and a Horner pass of
 k - 1 shift-by-n adds reassembles the full product.
 
 `multiply` runs the chosen kernel lane and reports a per-phase addition
-ledger. `accumulate` / `combine` / `horner_assemble` expose the phases over
-BitNum values for inspection, and `trace_multiply` snapshots them; all
+ledger; the lane's fold_ledger builds the BitNum product and the
+CostLedger, so multiply only checks the operands. `accumulate` /
+`combine` / `horner_assemble` expose the phases over BitNum values for
+inspection, and `trace_multiply` snapshots them; all
 four run the pure lane's own phase functions in _corepy, so the phases are
 written once in Python. `characteristic_vectors` is an independent,
 word-level route to the column patterns, built from whole parts with AND
@@ -99,13 +101,6 @@ class CostLedger:
         return self.accumulate_adds + self.combine_adds + self.horner_adds
 
 
-# multiply puts an object.__new__ ledger's fields into its __dict__ in one
-# set through the class's __dict__ descriptor, past the frozen __setattr__
-# that the generated __init__ calls once per field
-_set_ledger_dict = CostLedger.__dict__["__dict__"].__set__
-_new = object.__new__
-
-
 def split(B, m, k):
     """Split B into k parts of n = ceil(m/k) bits, B_k holding the pad."""
     costmodel._check(m, k, ("operand", B))
@@ -186,15 +181,7 @@ def multiply(A, B, m, k):
     if not (1 <= k <= K_CEILING and 1 <= m <= _M_MAX[k]
             and (a | b).bit_length() <= m):
         _validate_multiply(m, k, ("multiplicand", A), ("multiplier", B))
-    product, acc, comb, horner, shifts, peak = _k.fold_multiply(a, b, m, k)
-    # BitNum._wrap and CostLedger's fields set inline, with no call frame
-    p = _new(BitNum)
-    p._value = product
-    ledger = _new(CostLedger)
-    _set_ledger_dict(ledger, {
-        "accumulate_adds": acc, "combine_adds": comb, "horner_adds": horner,
-        "shifts": shifts, "peak_cell_bits": peak})
-    return p, ledger
+    return _k.fold_ledger(a, b, m, k, BitNum, CostLedger)
 
 
 @dataclass(frozen=True)

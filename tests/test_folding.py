@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opfold import costmodel
+from opfold import _corepy, costmodel
 from opfold.bitnum import BitNum
 from opfold.costmodel import (
     BANK_BUDGET_BITS,
@@ -501,6 +501,19 @@ def test_multiply_ledger_is_the_constructed_frozen_dataclass():
     # multiply fills its ledger past __init__; it must be the same object
     # a constructor call makes
     _, ledger = multiply(BitNum(0b1011), BitNum(0b1101), 4, 2)
+    _check_constructed_ledger(ledger)
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_fold_ledger_builds_the_constructed_frozen_dataclass(lane, request):
+    # each lane's fold_ledger, which multiply returns from, on its own
+    fold_ledger = request.getfixturevalue("corec").fold_ledger \
+        if lane == "compiled" else _corepy.fold_ledger
+    _, ledger = fold_ledger(0b1011, 0b1101, 4, 2, BitNum, CostLedger)
+    _check_constructed_ledger(ledger)
+
+
+def _check_constructed_ledger(ledger):
     built = CostLedger(*dataclasses.astuple(ledger))
     assert type(ledger) is CostLedger
     assert dataclasses.fields(ledger) == dataclasses.fields(CostLedger)

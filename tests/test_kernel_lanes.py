@@ -7,6 +7,7 @@ They skip only when the build itself fails.
 """
 
 import contextlib
+import dataclasses
 import datetime
 import random
 import signal
@@ -24,7 +25,7 @@ from opfold import _corepy, _kernel, baselines
 from opfold.bitnum import BitNum, random_bitnums
 from opfold.costmodel import K_CEILING, measure_mean
 from opfold.density import bernoulli_block
-from opfold.folding import multiply
+from opfold.folding import CostLedger, multiply
 
 def _check(corec, a, b, m, k):
     assert corec.fold_multiply(a, b, m, k) == \
@@ -321,15 +322,40 @@ def test_call_over_one_mib_then_small(corec):
     _check(corec, small_a, small_b, 100, 3)
 
 
+def _rise(fold, m):
+    """tracemalloc's peak rise over one k = 1 fold of two m-bit operands,
+    the multiplier the cheap 1 | 1 << (m - 1); tracemalloc is running"""
+    a, b = (1 << m) - 1, 1 | 1 << (m - 1)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    fold(a, b, m, 1)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
 def test_fold_past_the_kept_region_takes_a_traced_buffer(corec):
-    # at k = 1 with full-width operands a fold needs 1,048,394 bytes at
-    # m = 108,896, inside the kept 1 MiB region, and 1,048,698 at
-    # m = 108,897, which it takes from PyMem_Calloc, so tracemalloc sees
-    # it, and frees before it returns. The small pair, the same objects
-    # each time, is kept between the big folds
+    # at k = 1 a fold of full-width operands inside the kept KEEP_BYTES
+    # region allocates only its product int, and one past it takes its
+    # buffer from PyMem_Calloc, so tracemalloc sees it, and frees it
+    # before it returns; the boundary m, the first fold past the region,
+    # is found by bisection. The small pair, the same objects each time,
+    # is kept between the big folds
+    keep = corec.KEEP_BYTES
+    tracemalloc.start()
+    try:
+        lo, hi = 1, 1 << 18  # 1 folds in the region, 2**18 past it
+        assert _rise(corec.fold_multiply, lo) < keep
+        assert _rise(corec.fold_multiply, hi) >= keep
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _rise(corec.fold_multiply, mid) >= keep:
+                hi = mid
+            else:
+                lo = mid
+    finally:
+        tracemalloc.stop()
     small_a, small_b = (1 << 100) - 3, (1 << 99) + 5
     small = _corepy.fold_multiply(small_a, small_b, 100, 3)
-    cases = [(m, (1 << m) - 1, 1 | 1 << (m - 1)) for m in (108_896, 108_897)]
+    cases = [(m, (1 << m) - 1, 1 | 1 << (m - 1)) for m in (lo, hi)]
     expected = [_corepy.fold_multiply(a, b, m, 1) for m, a, b in cases]
     results, rises = [], []
     tracemalloc.start()
@@ -347,7 +373,7 @@ def test_fold_past_the_kept_region_takes_a_traced_buffer(corec):
     assert results == [small, expected[0], small, small, expected[1], small]
     (kept_peak, _), (own_peak, own_left) = rises
     assert kept_peak < 256 << 10
-    assert own_peak >= 1 << 20
+    assert own_peak >= keep
     assert own_left < 64 << 10
 
 
@@ -395,6 +421,7 @@ def test_oracle_sequence_on_kept_operands(corec, monkeypatch):
     # criterion 1's calls for one pair: k = 1..8, then both baselines,
     # which reuse a throughout and b up to the signed-digit masks
     monkeypatch.setattr(_kernel, "fold_multiply", corec.fold_multiply)
+    monkeypatch.setattr(_kernel, "fold_ledger", corec.fold_ledger)
     rng = random.Random(1)
     for _ in range(200):
         m = rng.randint(8, 256)
@@ -461,6 +488,15 @@ RNG = object()  # stands for a fresh numpy Generator in the rows below
     ("fold_trials", (1, 0, 2, 1), ValueError),
     ("fold_trials", (1, 8, K_CEILING + 1, 1), ValueError),
     ("bernoulli_bits", (RNG, -1, 0.5), ValueError),
+    # fold_ledger takes fold_multiply's four, then two classes that
+    # object.__new__ builds
+    ("fold_ledger", (1, 1, 8, 2, BitNum), TypeError),
+    ("fold_ledger", (1, 1, 8, 2, BitNum, CostLedger, 0), TypeError),
+    ("fold_ledger", (1, 1, 8, 2, 5, CostLedger), TypeError),
+    ("fold_ledger", (1, 1, 8, 2, BitNum, "CostLedger"), TypeError),
+    ("fold_ledger", (1, 1, 8, 2, int, CostLedger), TypeError),
+    ("fold_ledger", (1, 1, 8, 2.0, BitNum, CostLedger), TypeError),
+    ("fold_ledger", (1, 1, 8, 0, BitNum, CostLedger), ValueError),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_entry_points_refuse_as_the_tuple_parser_did(corec, name, args,
                                                      error):
@@ -571,8 +607,107 @@ def test_compiled_lane_exports_only_what_the_kernel_imports(corec):
     # the seeded draw is _corepy's on both lanes
     public = {name for name in dir(corec)
               if not name.startswith("_") and callable(getattr(corec, name))}
-    assert public == {"fold_multiply", "fold_trials", "bernoulli_bits"}
+    assert public == {"fold_multiply", "fold_ledger", "fold_trials",
+                      "bernoulli_bits"}
     assert _kernel.seeded_bits is _corepy.seeded_bits
+
+
+def _lane(lane, request):
+    return request.getfixturevalue("corec") if lane == "compiled" \
+        else _corepy
+
+
+def _ledger_shapes(wide_lanes):
+    """(a, b, m, k): the oracle grid, m = 1..256 at k = 1..min(m, 8),
+    widths across wide_lanes and one fold past the kept region"""
+    rng = random.Random(38)
+    shapes = [(rng.getrandbits(m), rng.getrandbits(m), m, k)
+              for m in range(1, 257) for k in range(1, min(m, 8) + 1)]
+    for lanes in (wide_lanes - 1, wide_lanes, wide_lanes + 1):
+        for m in (32 * (lanes - 1) - 31, 32 * (lanes - 1)):
+            shapes += [(rng.getrandbits(m) | 1 << (m - 1),
+                        rng.getrandbits(m), m, k) for k in (1, 4, 8)]
+    # 2**18-bit copies take 2 MiB, past the kept 1 MiB region
+    m = 1 << 18
+    shapes.append(((1 << m) - 1, 1 | 1 << (m - 1), m, 1))
+    return shapes
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_fold_ledger_is_fold_multiply_wrapped(lane, request):
+    module = _lane(lane, request)
+    # the pure lane has no crossover, so it takes the shipped one
+    for a, b, m, k in _ledger_shapes(getattr(module, "WIDE_LANES", 16)):
+        product, ledger = module.fold_ledger(a, b, m, k, BitNum, CostLedger)
+        p, *rest = module.fold_multiply(a, b, m, k)
+        assert type(product) is BitNum and type(ledger) is CostLedger
+        assert (product, ledger) == (BitNum(p), CostLedger(*rest)), (m, k)
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+def test_fold_ledger_names_the_ledger_fields(lane, request):
+    fields = [f.name for f in dataclasses.fields(CostLedger)]
+    _, ledger = _lane(lane, request).fold_ledger(11, 13, 4, 2, BitNum,
+                                                 CostLedger)
+    assert list(vars(ledger)) == fields
+    assert list(_corepy.LEDGER_FIELDS) == fields
+
+
+class _NoValue:
+    __slots__ = ()
+
+
+class _NoDict:
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+@pytest.mark.parametrize("args, error", [
+    ((5, CostLedger), TypeError),
+    ((BitNum, int), TypeError),
+    ((_NoValue, CostLedger), AttributeError),
+    ((BitNum, _NoDict), AttributeError),
+], ids=["not-a-class", "own-new", "no-value-slot", "no-dict"])
+def test_fold_ledger_lanes_refuse_a_class_alike(lane, request, args, error):
+    with pytest.raises(error):
+        _lane(lane, request).fold_ledger(11, 13, 4, 2, *args)
+
+
+def test_fold_ledger_frees_what_it_builds(corec, monkeypatch):
+    # tp_alloc takes a reference to a heap type that each instance's
+    # dealloc gives back, and a ledger's dict or a product never freed
+    # would grow tracemalloc's current size; a refused class frees what
+    # was built before it
+    monkeypatch.setattr(_kernel, "fold_ledger", corec.fold_ledger)
+    rng = random.Random(20000)
+    pairs = [(BitNum(rng.getrandbits(131)), BitNum(rng.getrandbits(131)))
+             for _ in range(100)]
+    for A, B in pairs:
+        multiply(A, B, 131, 4)
+    refused = [(_NoValue, CostLedger), (BitNum, _NoDict)]
+    counts = [sys.getrefcount(c) for c in (BitNum, CostLedger, _NoValue,
+                                             _NoDict)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            A, B = pairs[i % 100]
+            multiply(A, B, 131, 1 + i % 8)
+        raised = 0
+        # try/except, since pytest.raises keeps ~48 traced bytes a call
+        for classes in refused:
+            for _ in range(1000):
+                try:
+                    corec.fold_ledger(11, 13, 4, 2, *classes)
+                except AttributeError:
+                    raised += 1
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [sys.getrefcount(c) for c in (BitNum, CostLedger, _NoValue,
+                                           _NoDict)] == counts
+    assert raised == 2000
+    assert grown < 64 << 10
 
 
 def test_measure_mean_same_on_both_lanes(corec, monkeypatch):
@@ -731,6 +866,7 @@ def test_measure_mean_is_the_mean_of_multiply_ledgers(lane, request,
     module = request.getfixturevalue("corec") if lane == "compiled" \
         else _corepy
     monkeypatch.setattr(_kernel, "fold_multiply", module.fold_multiply)
+    monkeypatch.setattr(_kernel, "fold_ledger", module.fold_ledger)
     monkeypatch.setattr(_kernel, "fold_trials", module.fold_trials)
     shapes = [(m, k, 3, 7) for m in range(1, 65) for k in range(1, 9)]
     for m, k, trials, seed in [*shapes, (1024, 5, 200, 2)]:
