@@ -1,10 +1,11 @@
 """Reference multipliers: classical shift-and-add and signed-digit recoding.
 
 Both count whole-operand additions, the same unit as the folded ledger,
-and both are the fold kernel at k = 1 (see _kernel); the one subtraction
-that joins signed-digit's +1 and -1 products is not counted. The
-functions here only wrap and unwrap BitNum values. A SignedDigitString
-holds the kernel's NAF masks; from_digits and .digits are its tuple edge.
+and both are the fold kernel at k = 1: classical_multiply folds B, and
+csd_multiply folds the +1 and -1 masks of B's NAF and subtracts the
+second product from the first, a subtraction that is not counted. A
+SignedDigitString holds the NAF masks; from_digits and .digits are its
+tuple edge.
 """
 
 import operator
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import _kernel as _k
 from . import costmodel
+from ._corepy import _bit_flags, _from_bits, naf_masks
 from .bitnum import BitNum
 
 
@@ -40,7 +42,7 @@ class SignedDigitString:
             if d not in (-1, 0, 1):
                 raise ValueError(f"digit {d} outside {{-1, 0, +1}}")
         a = np.asarray(digits)
-        result = cls(_k._from_bits(a == 1), _k._from_bits(a == -1))
+        result = cls(_from_bits(a == 1), _from_bits(a == -1))
         if len(result) != len(digits):
             raise ValueError("leading zero digit")
         return result
@@ -49,8 +51,8 @@ class SignedDigitString:
     def digits(self):
         """The digit tuple, index 0 = LSB, top digit nonzero."""
         width = len(self)
-        return tuple(map(operator.sub, _k._bit_flags(self.plus, width),
-                         _k._bit_flags(self.minus, width)))
+        return tuple(map(operator.sub, _bit_flags(self.plus, width),
+                         _bit_flags(self.minus, width)))
 
     def __len__(self):
         return (self.plus | self.minus).bit_length()
@@ -77,7 +79,7 @@ def classical_multiply(A, B):
     if width > _WIDTH_MAX:
         costmodel._validate_multiply(width, 1)
     product, count = _k.classical_multiply(a, b)
-    # BitNum._wrap inline, with no call frame, as in folding.multiply
+    # BitNum._wrap inline, with no call frame
     p = _new(BitNum)
     p._value = product
     return p, count
@@ -85,7 +87,7 @@ def classical_multiply(A, B):
 
 def csd_recode(B):
     """Minimal-weight non-adjacent signed-digit form: B's kernel NAF masks."""
-    return SignedDigitString(*_k.naf_masks(B.to_int()))
+    return SignedDigitString(*naf_masks(B.to_int()))
 
 
 def csd_multiply(A, B):
@@ -95,14 +97,15 @@ def csd_multiply(A, B):
     sum and the -1 digits' terms in another, and one uncounted
     subtraction joins them, so the result never underflows.
     """
-    a, b = A._value, B._value
-    # the widest multiplier folded is the NAF's +1 mask, whose top bit is
-    # that of b + (b >> 1) (naf_masks): one bit over b's when that sum
-    # carries out
-    width = (a | b + (b >> 1)).bit_length()
+    a = A._value
+    plus, minus = naf_masks(B._value)
+    # the +1 mask is the widest multiplier folded: one bit over B when B's
+    # top two bits are set
+    width = (a | plus).bit_length() or 1
     if width > _WIDTH_MAX:
         costmodel._validate_multiply(width, 1)
-    product, count = _k.csd_multiply(a, b)
-    p = _new(BitNum)
-    p._value = product
-    return p, count
+    p, p_adds = _k.fold_multiply(a, plus, width, 1)[:2]
+    q, q_adds = _k.fold_multiply(a, minus, width, 1)[:2]
+    product = _new(BitNum)
+    product._value = p - q
+    return product, p_adds + q_adds

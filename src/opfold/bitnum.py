@@ -8,7 +8,7 @@ against native `*` still compare two independent routes.
 
 import numpy as np
 
-from . import _kernel as _k
+from ._corepy import draw_bits, seeded_bits
 
 
 class UnderflowError(ArithmeticError):
@@ -155,15 +155,15 @@ def random_bitnums(m, rng_seed, count):
     """`count` uniform values over m independent bits, from one draw.
 
     From a numpy Generator, equal to `count` successive random_bitnum(m,
-    rng) calls on it, and leaves it in the same state (_kernel.draw_bits).
+    rng) calls on it, and leaves it in the same state (_corepy.draw_bits).
     Any other rng_seed is entropy, a non-negative int or a sequence of
     them, and the values are the ones a fresh default_rng(rng_seed) gives
-    (_kernel.seeded_bits builds that Generator on either kernel lane).
+    (_corepy.seeded_bits, the one seeded draw on either kernel lane).
     """
     if isinstance(rng_seed, np.random.Generator):
-        values = _k.draw_bits(rng_seed, m, count)
+        values = draw_bits(rng_seed, m, count)
     else:
-        values = _k.seeded_bits(rng_seed, m, count)
+        values = seeded_bits(rng_seed, m, count)
     return tuple(map(BitNum._wrap, values))
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel as _k
+from ._corepy import _from_bits
 from .bitnum import BitNum
 
 MODES = ("nodes-only", "full-recursive")
@@ -291,7 +292,7 @@ def exact_weight_block(b, w, rng):
     _check_generator(rng)
     bits = np.zeros(b, bool)
     bits[rng.choice(b, size=w, replace=False)] = True
-    return BitNum._wrap(_k._from_bits(bits))
+    return BitNum._wrap(_from_bits(bits))
 
 
 def _sample_block(b, delta, rng, exact_weight):

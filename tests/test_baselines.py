@@ -291,7 +291,8 @@ def _check_kernels(b, multiplicands):
     assert digits == _carry_recode(b)
     for a in multiplicands:
         assert _kernel.classical_multiply(a, b) == _shift_loop(a, b)
-        assert _kernel.csd_multiply(a, b) == _digit_walk(a, digits)
+        product, count = _digit_walk(a, digits)
+        assert csd_multiply(BitNum(a), BitNum(b)) == (BitNum(product), count)
 
 
 def test_kernels_match_digit_schedules_exhaustive():

@@ -551,7 +551,7 @@ def test_seeded_bits_match_numpy_stream():
     for m in (*range(1, 301), 1024):
         for count in (1, 2, 3):
             entropy = (20111, m, 5, count)
-            assert _kernel.seeded_bits(entropy, m, count) == \
+            assert _corepy.seeded_bits(entropy, m, count) == \
                 _numpy_bits(entropy, m, count), m
 
 
@@ -582,7 +582,7 @@ def test_fold_trials_draws_the_numpy_stream(corec):
 ], ids=["negative-entry", "float-entry", "m-negative", "count-negative",
         "empty-entropy"])
 def test_seeded_bits_edges_follow_numpy(entropy, m, count, error):
-    # random_bitnums from entropy, which _kernel.seeded_bits draws, against
+    # random_bitnums from entropy, which _corepy.seeded_bits draws, against
     # the same call on the Generator that entropy seeds
     if error is None:
         assert random_bitnums(m, entropy, count) == \
@@ -596,20 +596,23 @@ def test_seeded_bits_edges_follow_numpy(entropy, m, count, error):
 
 
 def test_seeded_bits_take_numpy_and_bare_int_entries():
-    expected = _kernel.seeded_bits((5, 2), 64, 2)
-    assert _kernel.seeded_bits((np.int64(5), np.uint32(2)), 64, 2) == expected
-    assert _kernel.seeded_bits(5, 64, 2) == _kernel.seeded_bits((5,), 64, 2) \
+    expected = _corepy.seeded_bits((5, 2), 64, 2)
+    assert _corepy.seeded_bits((np.int64(5), np.uint32(2)), 64, 2) == expected
+    assert _corepy.seeded_bits(5, 64, 2) == _corepy.seeded_bits((5,), 64, 2) \
         == _numpy_bits((5,), 64, 2)
 
 
 def test_compiled_lane_exports_only_what_the_kernel_imports(corec):
     # a C entry point that _kernel does not take is code no caller runs;
-    # the seeded draw is _corepy's on both lanes
+    # _kernel holds the lane choice alone, and what is the same on both
+    # lanes, the seeded draw among it, is imported from _corepy
     public = {name for name in dir(corec)
               if not name.startswith("_") and callable(getattr(corec, name))}
     assert public == {"fold_multiply", "fold_ledger", "fold_trials",
                       "bernoulli_bits"}
-    assert _kernel.seeded_bits is _corepy.seeded_bits
+    assert {name for name in vars(_kernel) if not name.startswith("_")} == {
+        "KERNEL_NAME", "KERNEL_REASON", "fold_multiply", "fold_ledger",
+        "fold_trials", "bernoulli_bits", "classical_multiply"}
 
 
 def _lane(lane, request):
@@ -900,7 +903,8 @@ def test_baselines_on_both_lanes(lane, request, monkeypatch):
         naf_weight = (3 * b ^ b).bit_count()
         classical = _kernel.classical_multiply(a, b)
         assert classical == (a * b, b.bit_count()), (a, b)
-        assert _kernel.csd_multiply(a, b) == (a * b, naf_weight), (a, b)
+        assert baselines.csd_multiply(BitNum(a), BitNum(b)) == \
+            (BitNum(a * b), naf_weight), (a, b)
         if lane == "pure":
             assert _corepy.classical_multiply(a, b) == classical, (a, b)
 
@@ -920,9 +924,9 @@ def test_lanes_accept_the_same_entropy(entropy, expected):
     # it reads the entropy as; both lanes draw through _corepy's
     if isinstance(expected, type):
         with pytest.raises(expected):
-            _kernel.seeded_bits(entropy, 64, 2)
+            _corepy.seeded_bits(entropy, 64, 2)
     else:
-        assert _kernel.seeded_bits(entropy, 64, 2) == \
+        assert _corepy.seeded_bits(entropy, 64, 2) == \
             _numpy_bits(expected, 64, 2)
 
 
