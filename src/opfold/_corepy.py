@@ -155,15 +155,40 @@ def horner(cells, n, k):
     return p
 
 
+def _check_shape(m, k):
+    """(m, k) through operator.index, as _corec reads them, so a numpy int
+    counts as the int it holds; refused as _corec refuses them unless
+    1 <= k <= costmodel.K_CEILING and 1 <= m <= 2**32 - 1."""
+    # a module-level import would close the cycle costmodel -> _kernel ->
+    # _corepy -> costmodel
+    from .costmodel import K_CEILING
+    m, k = operator.index(m), operator.index(k)
+    if not 1 <= k <= K_CEILING:
+        raise ValueError(f"k must be in 1..{K_CEILING}, got {k}")
+    if not 1 <= m <= 0xFFFFFFFF:
+        raise ValueError(f"m must be in 1..2**32 - 1, got {m}")
+    return m, k
+
+
+def _check_operand(x, name, m):
+    """Refuse x as _corec does unless 0 <= x < 2**m."""
+    if x < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if x.bit_length() > m:
+        raise ValueError(f"{name} has {x.bit_length()} bits, exceeds m = {m}")
+
+
 def fold_multiply(a, b, m, k):
     """Folded multiply: column_patterns, accumulate, combine and horner.
 
     Returns (product, accumulate_adds, combine_adds, horner_adds, shifts,
-    peak_cell_bits). Caller validates 1 <= k and operand widths <= m.
-    m and k are taken through operator.index, as _corec takes them, so a
-    numpy int m or k counts as the int it holds.
+    peak_cell_bits). Refuses what _corec refuses, with its exception
+    types and messages: a shape _check_shape refuses, then an operand
+    that is negative or wider than m bits.
     """
-    m, k = operator.index(m), operator.index(k)
+    m, k = _check_shape(m, k)
+    _check_operand(a, "multiplicand", m)
+    _check_operand(b, "multiplier", m)
     n = (m + k - 1) // k
     cells, acc_adds = accumulate(a, column_patterns(b, n, k), k)
     comb_adds = combine(cells, k)
@@ -200,8 +225,8 @@ def fold_trials(seed, m, k, trials):
     seeded_bits((seed, m, k, t), m, 2) gives. Returns the accumulate,
     combine and Horner counts summed over the trials, the sum of each
     trial's squared total and the sum of each product mod 2**32 - 1, as
-    _corec.fold_trials does. Caller validates (m, k), as for
-    fold_multiply."""
+    _corec.fold_trials does, and refuses the (m, k) it refuses."""
+    m, k = _check_shape(m, k)
     trials = operator.index(trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

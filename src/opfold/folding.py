@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from . import _corepy
 from . import _kernel as _k
-from . import costmodel
 from .bitnum import BitNum
 from .costmodel import K_CEILING, _M_MAX, _validate_multiply
 
@@ -37,13 +36,14 @@ class Decomposition:
     parts: tuple
 
     def __post_init__(self):
-        # split builds only these; accumulate reads the parts as one
-        # multiplier, so a part past n bits would lend its top bits to the
-        # next part
+        # split builds only these, for an (m, k) the bank budget admits;
+        # accumulate reads the parts as one multiplier, so a part past n
+        # bits would lend its top bits to the next part
         k, n = self.k, self.n
+        _validate_multiply(self.m, k)
         if len(self.parts) != k:
             raise ValueError(f"{len(self.parts)} parts for k = {k}")
-        if k < 1 or n != -(-self.m // k):
+        if n != -(-self.m // k):
             raise ValueError(f"n = {n} is not ceil(m/k) for m = {self.m}, "
                              f"k = {k}")
         for j, part in enumerate(self.parts, 1):
@@ -70,9 +70,18 @@ class AccumulatorBank:
     k: int
     cells: tuple
 
+    def __post_init__(self):
+        k = self.k
+        if not 1 <= k <= K_CEILING or len(self.cells) != (1 << k) - 1:
+            raise ValueError(f"{len(self.cells)} cells for k = {k}, "
+                             f"not 2**k - 1")
+
     @classmethod
     def zero(cls, k):
-        return cls(k=k, cells=tuple(BitNum(0) for _ in range((1 << k) - 1)))
+        """An all-zero bank, refused before it is built at a k whose bank
+        the budget admits at no m."""
+        _validate_multiply(1, k)
+        return cls(k=k, cells=(BitNum(0),) * ((1 << k) - 1))
 
     def cell(self, v):
         if not 1 <= v < (1 << self.k):
@@ -102,8 +111,9 @@ class CostLedger:
 
 
 def split(B, m, k):
-    """Split B into k parts of n = ceil(m/k) bits, B_k holding the pad."""
-    costmodel._check(m, k, ("operand", B))
+    """Split B into k parts of n = ceil(m/k) bits, B_k holding the pad,
+    for an (m, k) the bank budget admits."""
+    _validate_multiply(m, k, ("operand", B))
     return _split(B, m, k)
 
 

@@ -11,6 +11,7 @@ Output is text only; the software model is the behavioral reference, and
 nothing here parses, elaborates, or simulates the result.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -63,6 +64,10 @@ class HdlConfig:
     entity_name: str = "Mult_Entity"
 
     def __post_init__(self):
+        # m and k as the ints they hold: a float would print as a float
+        # literal, and a numpy int emits what the plain int does
+        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "k", operator.index(self.k))
         if not M_MIN <= self.m <= M_MAX:
             raise ValueError(
                 f"m must be in {M_MIN}..{M_MAX}, got {self.m}")

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,56 @@ def test_combine_all_zero_bank():
 def test_combine_k_mismatch():
     with pytest.raises(ValueError):
         combine(AccumulatorBank.zero(3), 2)
+
+
+def _over_budget(m, k):
+    return f"k = {k} at m = {m} needs an accumulator bank over the budget " \
+           f"of {BANK_BUDGET_BITS} bits"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: accumulate(BitNum(1), split(BitNum(1), 30, 30)),
+     _over_budget(30, 30)),
+    (lambda: characteristic_vectors(split(BitNum(1), 40, 40)),
+     _over_budget(40, 40)),
+    (lambda: split(BitNum(1), 40, 20), _over_budget(40, 20)),
+    (lambda: Decomposition(m=30, k=30, n=1, parts=(BitNum(0),) * 30),
+     _over_budget(30, 30)),
+    (lambda: AccumulatorBank.zero(30), _over_budget(1, 30)),
+    (lambda: AccumulatorBank.zero(0), "k must be >= 1, got 0"),
+], ids=["accumulate", "characteristic-vectors", "split", "decomposition",
+        "bank-zero", "bank-zero-k0"])
+def test_phased_path_refuses_a_bank_over_the_budget(call, message):
+    # each once built its 2**k cells or column rows first: 8 GiB for the
+    # first, minutes for the second; now the budget refuses them at once,
+    # with multiply's message
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bank_zero_refuses_exactly_the_degrees_no_m_admits():
+    # _M_MAX falls with k; the first degree it admits no m at is 18 today
+    first_refused = costmodel._M_MAX.index(0, 1)
+    bank = AccumulatorBank.zero(first_refused - 1)
+    assert len(bank.cells) == (1 << (first_refused - 1)) - 1
+    with pytest.raises(ValueError, match=re.escape(
+            _over_budget(1, first_refused))):
+        AccumulatorBank.zero(first_refused)
+
+
+@pytest.mark.parametrize("k, cells", [
+    (3, (BitNum(1),)), (2, (BitNum(0),) * 4), (0, ()), (K_CEILING + 1, ()),
+], ids=["short", "long", "k-zero", "k-over-ceiling"])
+def test_bank_refuses_a_cell_count_other_than_2k_minus_1(k, cells):
+    # a short bank raised a bare IndexError from cell() or horner_assemble
+    with pytest.raises(ValueError, match=f"^{len(cells)} cells for k = {k}"):
+        AccumulatorBank(k=k, cells=cells)
 
 
 @given(mk_cases(m_max=96, k_max=4))

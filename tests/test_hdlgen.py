@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opfold.hdlgen import HdlConfig, emit
@@ -24,6 +25,20 @@ def test_config_validation():
         HdlConfig(m=32, k=0)
     with pytest.raises(ValueError):
         HdlConfig(m=32, k=9)
+
+
+@pytest.mark.parametrize("m, k", [(8.5, 2), (8, 2.0), ("8", 2), (None, 2)],
+                         ids=["float-m", "float-k", "str-m", "none-m"])
+def test_config_refuses_a_non_integral_size(m, k):
+    # a float m was emitted as float literals, and a float k failed in emit
+    with pytest.raises(TypeError):
+        HdlConfig(m=m, k=k)
+
+
+def test_config_reads_numpy_ints_as_the_ints_they_hold():
+    config = HdlConfig(m=np.int64(32), k=np.uint8(2))
+    assert type(config.m) is int and type(config.k) is int
+    assert emit(config) == emit(HdlConfig(m=32, k=2))
 
 
 def test_entity_name_validation():

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import datetime
 import random
+import re
 import signal
 import sys
 import threading
@@ -516,6 +517,39 @@ def test_lanes_refuse_a_negative_count_alike(lane, request):
         module.bernoulli_bits(np.random.default_rng(1), -1, 0.5)
     with pytest.raises(ValueError, match=r"^trials must be >= 0, got -1$"):
         module.fold_trials(1, 8, 2, -1)
+
+
+@pytest.mark.parametrize("lane", ["compiled", "pure"])
+@pytest.mark.parametrize("name, args, message", [
+    ("fold_multiply", (300, 5, 8, 2),
+     "multiplicand has 9 bits, exceeds m = 8"),
+    ("fold_multiply", (5, 300, 8, 2), "multiplier has 9 bits, exceeds m = 8"),
+    ("fold_multiply", (-3, 5, 8, 2), "multiplicand must be >= 0"),
+    ("fold_multiply", (3, -5, 8, 2), "multiplier must be >= 0"),
+    ("fold_multiply", (3, 5, 8, K_CEILING + 1),
+     f"k must be in 1..{K_CEILING}, got {K_CEILING + 1}"),
+    ("fold_multiply", (3, 5, 8, 0), f"k must be in 1..{K_CEILING}, got 0"),
+    ("fold_multiply", (0, 0, 0, 1), "m must be in 1..2**32 - 1, got 0"),
+    ("fold_multiply", (0, 0, 1 << 32, 1),
+     f"m must be in 1..2**32 - 1, got {1 << 32}"),
+    ("fold_multiply", (-1, 0, 0, 0), f"k must be in 1..{K_CEILING}, got 0"),
+    ("fold_ledger", (300, 5, 8, 2, BitNum, CostLedger),
+     "multiplicand has 9 bits, exceeds m = 8"),
+    ("fold_ledger", (3, 5, 8, K_CEILING + 1, BitNum, CostLedger),
+     f"k must be in 1..{K_CEILING}, got {K_CEILING + 1}"),
+    ("fold_trials", (1, 0, 2, 1), "m must be in 1..2**32 - 1, got 0"),
+    ("fold_trials", (1, 8, K_CEILING + 1, 1),
+     f"k must be in 1..{K_CEILING}, got {K_CEILING + 1}"),
+    ("fold_trials", (1, 8, 0, -1), f"k must be in 1..{K_CEILING}, got 0"),
+], ids=["wide-a", "wide-b", "negative-a", "negative-b", "k-over-ceiling",
+        "k-zero", "m-zero", "m-over-32-bits", "k-before-m-and-a",
+        "ledger-wide-a", "ledger-k-over-ceiling", "trials-m-zero",
+        "trials-k-over-ceiling", "trials-k-before-count"])
+def test_lanes_refuse_a_bad_fold_alike(lane, request, name, args, message):
+    # the pure lane once folded a wide or negative operand into a wrong
+    # product, and built the 2**k cells of any k before it failed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(_lane(lane, request), name)(*args)
 
 
 def test_entry_points_take_bools_and_numpy_ints(corec):
